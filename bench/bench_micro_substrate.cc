@@ -18,10 +18,13 @@
 #include "common/flat_hash.h"
 #include "common/pack.h"
 #include "common/rng.h"
+#include "eval/conjunct_evaluator.h"
 #include "eval/rank_join.h"
-#include "eval/rank_join_reference.h"
 #include "eval/tuple_dictionary.h"
-#include "eval/tuple_dictionary_reference.h"
+#include "reference/eager_conjunct_evaluator.h"
+#include "reference/rank_join_reference.h"
+#include "reference/tuple_dictionary_reference.h"
+#include "rpq/query_parser.h"
 #include "rpq/regex_parser.h"
 #include "store/bitmap.h"
 #include "store/graph_builder.h"
@@ -181,8 +184,8 @@ void BM_SubstrateDictionary_StdMapReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SubstrateDictionary_StdMapReference);
 
-// The evaluator's visited-set discipline: one membership probe per generated
-// tuple (ExpandTuple) and one insert-if-absent per popped tuple (GetNext).
+// The eager Succ's visited-set discipline: one membership probe per
+// generated tuple and one insert-if-absent per popped tuple (GetNext).
 struct BenchVisitedKey {
   uint64_t vn;
   StateId s;
@@ -389,6 +392,42 @@ void BM_SubstrateHeadDedup_StdSetReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kOps);
 }
 BENCHMARK(BM_SubstrateHeadDedup_StdSetReference);
+
+// Successor expansion: the lazy Succ (expansion records + row cursors)
+// against the eager Succ kept in reference/ as its executable spec. Both
+// draw the top 100 answers of one APPROX query from the Zipf hub of the
+// bench graph: expanding the hub, the eager side pushes its whole `*`
+// neighbourhood once per edit transition before it pops anything else;
+// the lazy side enqueues one record per cost level instead.
+template <typename Evaluator>
+void ExpandWorkload(benchmark::State& state) {
+  const GraphStore& g = BenchGraph();
+  static const PreparedConjunct* prepared = [&g] {
+    Result<Conjunct> conjunct = ParseConjunct("APPROX (n0, b.a-, ?X)");
+    Result<PreparedConjunct> p =
+        PrepareConjunct(*conjunct, g, nullptr, EvaluatorOptions{});
+    return new PreparedConjunct(std::move(p).value());
+  }();
+  size_t answers = 0;
+  for (auto _ : state) {
+    Evaluator evaluator(&g, nullptr, prepared, EvaluatorOptions{});
+    Answer a;
+    answers = 0;
+    while (answers < 100 && evaluator.Next(&a)) ++answers;
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["answers"] = static_cast<double>(answers);
+}
+
+void BM_SubstrateExpand_LazyExpand(benchmark::State& state) {
+  ExpandWorkload<ConjunctEvaluator>(state);
+}
+BENCHMARK(BM_SubstrateExpand_LazyExpand)->Unit(benchmark::kMicrosecond);
+
+void BM_SubstrateExpand_EagerExpand(benchmark::State& state) {
+  ExpandWorkload<EagerConjunctEvaluator>(state);
+}
+BENCHMARK(BM_SubstrateExpand_EagerExpand)->Unit(benchmark::kMicrosecond);
 
 void BM_ThompsonPlusEpsRemoval(benchmark::State& state) {
   const GraphStore& g = BenchGraph();

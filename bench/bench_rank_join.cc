@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "common/timer.h"
 #include "eval/rank_join.h"
-#include "eval/rank_join_reference.h"
+#include "reference/rank_join_reference.h"
 #include "rpq/query_parser.h"
 
 using namespace omega;

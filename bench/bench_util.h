@@ -12,7 +12,7 @@
 #include "datasets/query_sets.h"
 #include "datasets/yago.h"
 #include "eval/query_engine.h"
-#include "eval/rank_join_reference.h"
+#include "reference/rank_join_reference.h"
 
 namespace omega::bench {
 

@@ -1,4 +1,4 @@
-#include "eval/rank_join_reference.h"
+#include "reference/rank_join_reference.h"
 
 #include <algorithm>
 

@@ -6,8 +6,8 @@
 // and tools/check_substrate_gate.py fails the build if the compiled-slot
 // join stops winning; the property tests also replay both implementations on
 // identical inputs.
-#ifndef OMEGA_EVAL_RANK_JOIN_REFERENCE_H_
-#define OMEGA_EVAL_RANK_JOIN_REFERENCE_H_
+#ifndef OMEGA_REFERENCE_RANK_JOIN_REFERENCE_H_
+#define OMEGA_REFERENCE_RANK_JOIN_REFERENCE_H_
 
 #include <memory>
 #include <queue>
@@ -119,4 +119,4 @@ class ReferenceRankJoinStream : public ReferenceBindingStream {
 
 }  // namespace omega
 
-#endif  // OMEGA_EVAL_RANK_JOIN_REFERENCE_H_
+#endif  // OMEGA_REFERENCE_RANK_JOIN_REFERENCE_H_

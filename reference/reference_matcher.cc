@@ -1,4 +1,4 @@
-#include "automata/reference_matcher.h"
+#include "reference/reference_matcher.h"
 
 #include <algorithm>
 #include <map>

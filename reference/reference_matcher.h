@@ -2,8 +2,8 @@
 // pipeline independently: direct AST matching of label paths, bounded
 // language enumeration, and classic edit distance between label sequences.
 // None of this code shares logic with the NFA implementation.
-#ifndef OMEGA_AUTOMATA_REFERENCE_MATCHER_H_
-#define OMEGA_AUTOMATA_REFERENCE_MATCHER_H_
+#ifndef OMEGA_REFERENCE_REFERENCE_MATCHER_H_
+#define OMEGA_REFERENCE_REFERENCE_MATCHER_H_
 
 #include <span>
 #include <string>
@@ -56,4 +56,4 @@ int MinEditDistanceToLanguage(const RegexNode& regex,
 
 }  // namespace omega
 
-#endif  // OMEGA_AUTOMATA_REFERENCE_MATCHER_H_
+#endif  // OMEGA_REFERENCE_REFERENCE_MATCHER_H_

@@ -1,4 +1,4 @@
-#include "eval/tuple_dictionary_reference.h"
+#include "reference/tuple_dictionary_reference.h"
 
 #include <cassert>
 

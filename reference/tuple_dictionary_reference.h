@@ -3,8 +3,8 @@
 // bucket queue that replaced it on the hot path) must produce byte-identical
 // removal order — tests/tuple_dictionary_test.cc asserts this over random
 // sweeps, and bench_micro_substrate races the two implementations.
-#ifndef OMEGA_EVAL_TUPLE_DICTIONARY_REFERENCE_H_
-#define OMEGA_EVAL_TUPLE_DICTIONARY_REFERENCE_H_
+#ifndef OMEGA_REFERENCE_TUPLE_DICTIONARY_REFERENCE_H_
+#define OMEGA_REFERENCE_TUPLE_DICTIONARY_REFERENCE_H_
 
 #include <map>
 #include <vector>
@@ -44,4 +44,4 @@ class ReferenceTupleDictionary {
 
 }  // namespace omega
 
-#endif  // OMEGA_EVAL_TUPLE_DICTIONARY_REFERENCE_H_
+#endif  // OMEGA_REFERENCE_TUPLE_DICTIONARY_REFERENCE_H_

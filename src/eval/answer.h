@@ -31,8 +31,10 @@ struct Answer {
 /// Counters exposed by evaluators; benches report these to explain the
 /// paper's intermediate-result blow-ups.
 struct EvaluatorStats {
-  uint64_t tuples_popped = 0;
-  uint64_t tuples_pushed = 0;
+  uint64_t tuples_popped = 0;          ///< dictionary removals
+  uint64_t tuples_pushed = 0;          ///< dictionary insertions: tuples,
+                                       ///< cursors, expansion records and
+                                       ///< their re-arms alike
   uint64_t succ_expansions = 0;        ///< non-final tuples expanded
   uint64_t neighbor_group_fetches = 0; ///< NeighboursByEdge-equivalent calls
   uint64_t answers_emitted = 0;
@@ -89,7 +91,8 @@ struct EvaluatorOptions {
   /// unmemoized search (ablation only — expect blow-ups on cyclic data).
   bool use_visited_set = true;
 
-  /// Upper bound on live tuples (D_R + visited + answers); 0 = unlimited.
+  /// Upper bound on live tuples (D_R + visited + answers + the evaluator's
+  /// neighbour buffer); 0 = unlimited.
   /// Exceeding it fails the query with kResourceExhausted, reproducing the
   /// paper's out-of-memory '?' results without taking the process down.
   size_t max_live_tuples = 0;

@@ -79,9 +79,51 @@ ConjunctEvaluator::ConjunctEvaluator(const GraphStore* graph,
   assert(prepared_->mode != ConjunctMode::kRelax || ontology_ != nullptr);
 }
 
+void ConjunctEvaluator::BuildCostLevels() {
+  const Nfa& nfa = prepared_->nfa;
+  transitions_.reserve(nfa.NumTransitions());
+  state_levels_.reserve(nfa.NumStates() + 1);
+  state_levels_.push_back(0);
+  for (StateId s = 0; s < nfa.NumStates(); ++s) {
+    const size_t first = transitions_.size();
+    const size_t first_level = levels_.size();
+    std::span<const NfaTransition> out = nfa.Out(s);
+    transitions_.insert(transitions_.end(), out.begin(), out.end());
+    // Cost first; within a cost SortTransitions' order, which keeps
+    // SameNeighborGroup members adjacent.
+    std::stable_sort(transitions_.begin() + first, transitions_.end(),
+                     [](const NfaTransition& a, const NfaTransition& b) {
+                       return a.cost < b.cost;
+                     });
+    for (size_t i = first; i < transitions_.size();) {
+      size_t j = i;
+      while (j < transitions_.size() &&
+             transitions_[j].cost == transitions_[i].cost) {
+        ++j;
+      }
+      levels_.push_back({transitions_[i].cost, static_cast<uint32_t>(i),
+                         static_cast<uint32_t>(j), false});
+      i = j;
+    }
+    if (nfa.IsFinal(s)) {
+      const Cost w = nfa.FinalWeight(s);
+      auto it = std::lower_bound(
+          levels_.begin() + first_level, levels_.end(), w,
+          [](const CostLevel& l, Cost cost) { return l.cost < cost; });
+      if (it != levels_.end() && it->cost == w) {
+        it->final = true;
+      } else {
+        levels_.insert(it, {w, 0, 0, true});
+      }
+    }
+    state_levels_.push_back(static_cast<uint32_t>(levels_.size()));
+  }
+}
+
 void ConjunctEvaluator::Open() {
   if (opened_) return;
   opened_ = true;
+  BuildCostLevels();
   const Nfa& nfa = prepared_->nfa;
   const StateId s0 = nfa.initial();
 
@@ -147,7 +189,8 @@ void ConjunctEvaluator::AddTuple(const EvalTuple& tuple) {
 
 void ConjunctEvaluator::CheckBudget() {
   if (options_.max_live_tuples == 0) return;
-  const size_t live = dict_.size() + visited_.size() + answers_.size();
+  const size_t live =
+      dict_.size() + visited_.size() + answers_.size() + buffered_;
   if (live > options_.max_live_tuples) {
     status_ = Status::ResourceExhausted(
         "conjunct evaluation exceeded max_live_tuples=" +
@@ -177,11 +220,21 @@ bool ConjunctEvaluator::TargetMatches(NodeId n) const {
   return !target_is_constant_ || (target_node_ && *target_node_ == n);
 }
 
-void ConjunctEvaluator::CollectNeighbors(NodeId n, const NfaTransition& t,
-                                         std::vector<NodeId>* out) const {
-  auto append = [out](std::span<const NodeId> ids) {
-    out->insert(out->end(), ids.begin(), ids.end());
-  };
+std::span<const NodeId> ConjunctEvaluator::BufferScratch() {
+  constexpr size_t kChunk = 4096;
+  if (buffer_.empty() ||
+      buffer_.back().capacity() - buffer_.back().size() < scratch_.size()) {
+    buffer_.emplace_back().reserve(std::max(kChunk, scratch_.size()));
+  }
+  std::vector<NodeId>& chunk = buffer_.back();
+  const size_t at = chunk.size();
+  chunk.insert(chunk.end(), scratch_.begin(), scratch_.end());
+  buffered_ += scratch_.size();
+  return std::span<const NodeId>(chunk).subspan(at);
+}
+
+bool ConjunctEvaluator::CollectRows(NodeId n, const NfaTransition& t) {
+  rows_.clear();
   const bool entail =
       prepared_->nfa.entailment_matching() && ontology_ != nullptr;
   switch (t.kind) {
@@ -195,91 +248,141 @@ void ConjunctEvaluator::CollectNeighbors(NodeId n, const NfaTransition& t,
         // satisfies the transition (this is what makes a relaxed
         // relationLocatedByObject transition match happenedIn edges).
         for (LabelId down : ontology_->LabelDownSet(t.label)) {
-          append(graph_->Neighbors(n, down, t.dir));
+          rows_.push_back(graph_->Neighbors(n, down, t.dir));
         }
       } else if (entail && t.label == LabelDictionary::kTypeLabel) {
         if (t.dir == Direction::kOutgoing) {
           // (n, type, c) holds for each stored class and its ancestors.
+          scratch_.clear();
           for (NodeId c : graph_->TypeNeighbors(n, Direction::kOutgoing)) {
-            out->push_back(c);
+            scratch_.push_back(c);
             for (const auto& [ancestor, steps] : ontology_->NodeAncestors(c)) {
-              out->push_back(ancestor);
+              scratch_.push_back(ancestor);
             }
           }
+          rows_.push_back(scratch_);
+          return true;
+        }
+        // Reverse type edge from class n: instances of n or of any
+        // descendant class.
+        const OidSet& down = ontology_->NodeDownSet(n);
+        if (down.empty()) {
+          rows_.push_back(graph_->TypeNeighbors(n, Direction::kIncoming));
         } else {
-          // Reverse type edge from class n: instances of n or of any
-          // descendant class.
-          const OidSet& down = ontology_->NodeDownSet(n);
-          if (down.empty()) {
-            append(graph_->TypeNeighbors(n, Direction::kIncoming));
-          } else {
-            for (NodeId c : down) {
-              append(graph_->TypeNeighbors(c, Direction::kIncoming));
-            }
+          for (NodeId c : down) {
+            rows_.push_back(graph_->TypeNeighbors(c, Direction::kIncoming));
           }
         }
       } else {
-        append(graph_->Neighbors(n, t.label, t.dir));
+        rows_.push_back(graph_->Neighbors(n, t.label, t.dir));
       }
       break;
     }
     case TransitionKind::kAnyLabel:
-      append(graph_->SigmaNeighbors(n, t.dir));
-      append(graph_->TypeNeighbors(n, t.dir));
+      rows_.push_back(graph_->SigmaNeighbors(n, t.dir));
+      rows_.push_back(graph_->TypeNeighbors(n, t.dir));
       break;
     case TransitionKind::kAnyLabelBothDirs:
-      append(graph_->SigmaNeighbors(n, Direction::kOutgoing));
-      append(graph_->SigmaNeighbors(n, Direction::kIncoming));
-      append(graph_->TypeNeighbors(n, Direction::kOutgoing));
-      append(graph_->TypeNeighbors(n, Direction::kIncoming));
+      rows_.push_back(graph_->SigmaNeighbors(n, Direction::kOutgoing));
+      rows_.push_back(graph_->SigmaNeighbors(n, Direction::kIncoming));
+      rows_.push_back(graph_->TypeNeighbors(n, Direction::kOutgoing));
+      rows_.push_back(graph_->TypeNeighbors(n, Direction::kIncoming));
       break;
     case TransitionKind::kConstrainedType: {
       // Forward type edge whose target class is (a descendant of) the
       // dom/range class recorded on the transition.
       if (ontology_ == nullptr) break;
       const OidSet& allowed = ontology_->NodeDownSet(t.class_node);
+      scratch_.clear();
       for (NodeId c : graph_->TypeNeighbors(n, Direction::kOutgoing)) {
-        if (allowed.Contains(c)) out->push_back(c);
+        if (allowed.Contains(c)) scratch_.push_back(c);
       }
-      break;
+      rows_.push_back(scratch_);
+      return true;
     }
   }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
+  return false;
 }
 
-void ConjunctEvaluator::ExpandTuple(const EvalTuple& tuple) {
-  const Nfa& nfa = prepared_->nfa;
-  ++stats_.succ_expansions;
-
-  std::span<const NfaTransition> transitions = nfa.Out(tuple.s);
-  size_t i = 0;
-  while (i < transitions.size()) {
+void ConjunctEvaluator::ExpandLevel(NodeId v, NodeId n, StateId s,
+                                    uint32_t level, Cost d) {
+  const CostLevel& l = levels_[level];
+  size_t i = l.begin;
+  while (i < l.end) {
     // One neighbour fetch per SameNeighborGroup run (§3.4's U-set reuse).
-    scratch_neighbors_.clear();
-    CollectNeighbors(tuple.n, transitions[i], &scratch_neighbors_);
+    if (CollectRows(n, transitions_[i]) && scratch_.size() > 1) {
+      rows_[0] = BufferScratch();  // cursors outlive scratch_
+    }
     ++stats_.neighbor_group_fetches;
     size_t j = i;
-    for (; j < transitions.size() &&
-           transitions[j].SameNeighborGroup(transitions[i]);
+    for (; j < l.end && transitions_[j].SameNeighborGroup(transitions_[i]);
          ++j) {
-      const NfaTransition& t = transitions[j];
-      for (NodeId m : scratch_neighbors_) {
-        if (options_.use_visited_set &&
-            visited_.Contains({PackPair(tuple.v, m), t.to})) {
-          continue;
+      const StateId to = transitions_[j].to;
+      // Cursors scan their row from the back and the first row is pushed
+      // last, so the LIFO bucket pops neighbours in the order the eager Succ
+      // did: rows in fetch order, largest node first within a row.
+      for (auto it = rows_.rbegin(); it != rows_.rend(); ++it) {
+        const std::span<const NodeId> row = *it;
+        if (row.size() > 1) {
+          AddTuple({v, n, to, d, false, TupleKind::kCursor,
+                    static_cast<uint32_t>(row.size()), row.data()});
+        } else if (row.size() == 1 && !IsVisited(v, row[0], to)) {
+          AddTuple({v, row[0], to, d, false});
         }
-        AddTuple({tuple.v, m, t.to, tuple.d + t.cost, false});
       }
     }
     i = j;
   }
+  if (l.final && AnswerPending(v, n)) AddTuple({v, n, s, d, true});
+}
 
-  // Lines 12–13 of GetNext: re-enqueue as a final tuple, adding weight(s).
-  if (nfa.IsFinal(tuple.s) && TargetMatches(tuple.n) &&
-      !answers_.Contains(AnswerKey(tuple.v, tuple.n))) {
-    AddTuple({tuple.v, tuple.n, tuple.s,
-              tuple.d + nfa.FinalWeight(tuple.s), true});
+void ConjunctEvaluator::ArmLevel(NodeId v, NodeId n, StateId s,
+                                 uint32_t level, Cost base) {
+  const uint32_t end = state_levels_[s + 1];
+  if (level >= end) return;
+  const Cost d = base + levels_[level].cost;
+  if (d <= options_.max_distance) {
+    // A level that emits a final tuple is queued with the final tuples, so
+    // the answer comes out as early as an eagerly pushed one would.
+    AddTuple({v, n, s, d, levels_[level].final, TupleKind::kExpansion, level});
+    return;
+  }
+  // Levels ascend, so every remaining one is past the ceiling: a higher
+  // ceiling could only produce more if one of them has a neighbour.
+  for (; level < end && !truncated_by_distance_; ++level) {
+    if (levels_[level].final && AnswerPending(v, n)) {
+      truncated_by_distance_ = true;
+    }
+    for (uint32_t i = levels_[level].begin; i < levels_[level].end; ++i) {
+      CollectRows(n, transitions_[i]);
+      ++stats_.neighbor_group_fetches;
+      for (std::span<const NodeId> row : rows_) {
+        if (!row.empty()) truncated_by_distance_ = true;
+      }
+    }
+  }
+}
+
+void ConjunctEvaluator::Expand(NodeId v, NodeId n, StateId s, Cost d) {
+  ++stats_.succ_expansions;
+  uint32_t level = state_levels_[s];
+  if (level < state_levels_[s + 1] && levels_[level].cost == 0) {
+    ExpandLevel(v, n, s, level, d);
+    ++level;
+  }
+  ArmLevel(v, n, s, level, d);
+}
+
+void ConjunctEvaluator::AdvanceCursor(EvalTuple cursor) {
+  while (cursor.count > 0) {
+    const NodeId m = cursor.row[--cursor.count];
+    if (options_.use_visited_set &&
+        !visited_.Insert({PackPair(cursor.v, m), cursor.s})) {
+      continue;  // reached before at a lower-or-equal d
+    }
+    if (cursor.count > 0) AddTuple(cursor);  // re-arm at the same distance
+    Expand(cursor.v, m, cursor.s, cursor.d);
+    return;
   }
 }
 
@@ -303,20 +406,31 @@ bool ConjunctEvaluator::Next(Answer* out) {
     const EvalTuple tuple = dict_.Remove();
     ++stats_.tuples_popped;
 
-    if (tuple.is_final) {
-      if (!answers_.Insert(AnswerKey(tuple.v, tuple.n), tuple.d)) {
-        continue;  // answer already generated at some d'
-      }
-      ++stats_.answers_emitted;
-      *out = Answer{tuple.v, tuple.n, tuple.d};
-      return true;
+    switch (tuple.kind) {
+      case TupleKind::kTuple:
+        if (tuple.is_final) {
+          if (!answers_.Insert(AnswerKey(tuple.v, tuple.n), tuple.d)) {
+            continue;  // answer already generated at some d'
+          }
+          ++stats_.answers_emitted;
+          *out = Answer{tuple.v, tuple.n, tuple.d};
+          return true;
+        }
+        if (options_.use_visited_set &&
+            !visited_.Insert({PackPair(tuple.v, tuple.n), tuple.s})) {
+          continue;  // processed before at a lower-or-equal d
+        }
+        Expand(tuple.v, tuple.n, tuple.s, tuple.d);
+        break;
+      case TupleKind::kCursor:
+        AdvanceCursor(tuple);
+        break;
+      case TupleKind::kExpansion:
+        ExpandLevel(tuple.v, tuple.n, tuple.s, tuple.count, tuple.d);
+        ArmLevel(tuple.v, tuple.n, tuple.s, tuple.count + 1,
+                 tuple.d - levels_[tuple.count].cost);
+        break;
     }
-
-    if (options_.use_visited_set &&
-        !visited_.Insert({PackPair(tuple.v, tuple.n), tuple.s})) {
-      continue;  // processed before at a lower-or-equal d
-    }
-    ExpandTuple(tuple);
     CheckBudget();
     if (!status_.ok()) return false;
   }

@@ -26,13 +26,26 @@
 
 namespace omega {
 
-/// The traversal tuple (v, n, s, d, f) of §3.3.
+/// What a dictionary entry stands for. Besides the paper's tuples, the
+/// lazy Succ of ConjunctEvaluator enqueues deferred work, so that nothing
+/// is materialised before the search reaches its distance.
+enum class TupleKind : uint8_t {
+  kTuple,      ///< one traversal tuple (v, n, s, d)
+  kCursor,     ///< tuples (v, m, s, d) for the neighbours m in row[0, count)
+  kExpansion,  ///< the transitions of (v, n, s) at cost level `count`, due at d
+};
+
+/// The traversal tuple (v, n, s, d, f) of §3.3, or a deferred expansion.
 struct EvalTuple {
   NodeId v = kInvalidNode;   ///< node the traversal started from
   NodeId n = kInvalidNode;   ///< node currently visited
   StateId s = kInvalidState; ///< NFA state
   Cost d = 0;                ///< accumulated distance
-  bool is_final = false;     ///< ready to be emitted as an answer
+  bool is_final = false;     ///< ready to be emitted as an answer (on an
+                             ///< expansion: its level will enqueue one)
+  TupleKind kind = TupleKind::kTuple;
+  uint32_t count = 0;           ///< cursor: neighbours left; expansion: level
+  const NodeId* row = nullptr;  ///< cursor: a neighbour row, scanned backwards
 };
 
 class TupleDictionary {

@@ -24,6 +24,18 @@ std::string FormatMisestimate(uint64_t actual, double estimated) {
   return buf;
 }
 
+// Dictionary insertions per removal for EXPLAIN ANALYZE: near 1 when the
+// evaluator pops what it pushes, far above when successors pile up unread
+// (what exhausts the live-tuple budget).
+std::string FormatAmplification(uint64_t pushed, uint64_t popped) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f",
+                popped == 0 ? 0.0
+                            : static_cast<double>(pushed) /
+                                  static_cast<double>(popped));
+  return buf;
+}
+
 std::string VarList(const std::vector<VarId>& vars,
                     const VarCatalog& catalog) {
   std::string out;
@@ -50,6 +62,9 @@ void AppendNode(const PlanNode& node, const VarCatalog& catalog,
               " err=" + FormatMisestimate(stats.answers_emitted,
                                           node.est_cardinality) +
               " popped=" + std::to_string(stats.tuples_popped) +
+              " amp=" + FormatAmplification(stats.tuples_pushed,
+                                            stats.tuples_popped) +
+              " dict-peak=" + std::to_string(stats.max_dictionary_size) +
               " fetches=" + std::to_string(stats.neighbor_group_fetches) +
               "}";
     }

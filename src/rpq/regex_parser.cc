@@ -1,5 +1,6 @@
 #include "rpq/regex_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <vector>
@@ -11,12 +12,19 @@ bool IsLabelChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+// Every consumer of the AST (Thompson construction, reversal, shape
+// analysis, destruction) recurses on it, so its height is capped: past the
+// cap, text from outside would exhaust the stack instead of failing.
+// Parenthesis nesting and stacked postfix operators both add height.
+constexpr int kMaxRegexDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<RegexPtr> Parse() {
-    Result<RegexPtr> regex = ParseAlternation();
+    int height = 0;
+    Result<RegexPtr> regex = ParseAlternation(&height);
     if (!regex.ok()) return regex;
     SkipWhitespace();
     if (pos_ != text_.size()) {
@@ -50,42 +58,55 @@ class Parser {
     return true;
   }
 
-  Result<RegexPtr> ParseAlternation() {
-    Result<RegexPtr> first = ParseConcat();
+  Status TooDeep() const {
+    return Error("regex nests deeper than " + std::to_string(kMaxRegexDepth));
+  }
+
+  // Each Parse* function sets *height to the height of the AST it returns.
+  Result<RegexPtr> ParseAlternation(int* height) {
+    Result<RegexPtr> first = ParseConcat(height);
     if (!first.ok()) return first;
     std::vector<RegexPtr> branches;
     branches.push_back(std::move(first).value());
     while (Consume('|')) {
-      Result<RegexPtr> next = ParseConcat();
+      int branch_height = 0;
+      Result<RegexPtr> next = ParseConcat(&branch_height);
       if (!next.ok()) return next;
       branches.push_back(std::move(next).value());
+      *height = std::max(*height, branch_height);
     }
     if (branches.size() == 1) return std::move(branches[0]);
+    if (++*height > kMaxRegexDepth) return TooDeep();
     return MakeAlternation(std::move(branches));
   }
 
-  Result<RegexPtr> ParseConcat() {
-    Result<RegexPtr> first = ParsePostfix();
+  Result<RegexPtr> ParseConcat(int* height) {
+    Result<RegexPtr> first = ParsePostfix(height);
     if (!first.ok()) return first;
     std::vector<RegexPtr> parts;
     parts.push_back(std::move(first).value());
     while (Consume('.')) {
-      Result<RegexPtr> next = ParsePostfix();
+      int part_height = 0;
+      Result<RegexPtr> next = ParsePostfix(&part_height);
       if (!next.ok()) return next;
       parts.push_back(std::move(next).value());
+      *height = std::max(*height, part_height);
     }
     if (parts.size() == 1) return std::move(parts[0]);
+    if (++*height > kMaxRegexDepth) return TooDeep();
     return MakeConcat(std::move(parts));
   }
 
-  Result<RegexPtr> ParsePostfix() {
-    Result<RegexPtr> atom = ParseAtom();
+  Result<RegexPtr> ParsePostfix(int* height) {
+    Result<RegexPtr> atom = ParseAtom(height);
     if (!atom.ok()) return atom;
     RegexPtr node = std::move(atom).value();
     for (;;) {
       if (Consume('*')) {
+        if (++*height > kMaxRegexDepth) return TooDeep();
         node = MakeStar(std::move(node));
       } else if (Consume('+')) {
+        if (++*height > kMaxRegexDepth) return TooDeep();
         node = MakePlus(std::move(node));
       } else if (Peek('-')) {
         // Reversal applies to label/wildcard atoms only (grammar: a-).
@@ -104,16 +125,24 @@ class Parser {
     return node;
   }
 
-  Result<RegexPtr> ParseAtom() {
+  Result<RegexPtr> ParseAtom(int* height) {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("expected label, '_' or '('");
     const char c = text_[pos_];
+    *height = 1;
     if (c == '(') {
+      // The parser recurses once per open group, so nesting is checked
+      // before descending, not only on the finished AST.
+      if (++open_groups_ > kMaxRegexDepth) return TooDeep();
       ++pos_;
-      if (Consume(')')) return MakeEpsilon();  // "()" is the empty path
-      Result<RegexPtr> inner = ParseAlternation();
+      if (Consume(')')) {
+        --open_groups_;
+        return MakeEpsilon();  // "()" is the empty path
+      }
+      Result<RegexPtr> inner = ParseAlternation(height);
       if (!inner.ok()) return inner;
       if (!Consume(')')) return Error("expected ')'");
+      --open_groups_;
       return inner;
     }
     if (IsLabelChar(c)) {
@@ -128,6 +157,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int open_groups_ = 0;
 };
 
 }  // namespace

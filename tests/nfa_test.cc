@@ -6,9 +6,9 @@
 #include <set>
 
 #include "automata/epsilon_removal.h"
-#include "automata/reference_matcher.h"
 #include "automata/thompson.h"
 #include "common/rng.h"
+#include "reference/reference_matcher.h"
 #include "test_util.h"
 
 namespace omega {

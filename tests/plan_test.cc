@@ -290,6 +290,8 @@ TEST(PlannerEngineTest, ExplainQueryRendersTreeWithEstimates) {
   }
   const std::string analyzed = (*stream)->ExplainString();
   EXPECT_NE(analyzed.find("popped="), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("amp="), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("dict-peak="), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("live-peak="), std::string::npos) << analyzed;
 }
 

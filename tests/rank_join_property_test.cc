@@ -15,7 +15,7 @@
 
 #include "common/rng.h"
 #include "eval/rank_join.h"
-#include "eval/rank_join_reference.h"
+#include "reference/rank_join_reference.h"
 #include "test_util.h"
 
 namespace omega {

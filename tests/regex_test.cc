@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "automata/reference_matcher.h"
+#include <string>
+
 #include "common/rng.h"
+#include "reference/reference_matcher.h"
 #include "test_util.h"
 
 namespace omega {
@@ -76,6 +78,30 @@ TEST(RegexParserTest, Errors) {
         ".a", "a.", "a+*-"}) {
     EXPECT_FALSE(ParseRegex(bad).ok()) << bad;
   }
+}
+
+// Regression: both inputs used to overflow the stack (in the parser's
+// recursion, or later when the AST was walked or destroyed).
+TEST(RegexParserTest, DeepParenthesisNestingIsInvalidArgument) {
+  const std::string text =
+      std::string(10000, '(') + "a" + std::string(10000, ')');
+  Result<RegexPtr> r = ParseRegex(text);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RegexParserTest, StackedPostfixOperatorsAreInvalidArgument) {
+  for (const char op : {'*', '+'}) {
+    Result<RegexPtr> r = ParseRegex("a" + std::string(300000, op));
+    ASSERT_FALSE(r.ok()) << op;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << op;
+  }
+}
+
+TEST(RegexParserTest, ModerateNestingStillParses) {
+  EXPECT_TRUE(
+      ParseRegex(std::string(100, '(') + "a.b" + std::string(100, ')')).ok());
+  EXPECT_TRUE(ParseRegex("(a" + std::string(100, '*') + ")+").ok());
 }
 
 TEST(RegexAstTest, CloneIsDeepAndEqual) {

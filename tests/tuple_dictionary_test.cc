@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "eval/tuple_dictionary_reference.h"
+#include "reference/tuple_dictionary_reference.h"
 
 namespace omega {
 namespace {

@@ -52,6 +52,10 @@ PAIRINGS = {
     # appending a flat completion summary per request vs no recorder wired.
     # Same near-free claim as _MetricsOn.
     "_RecorderOn": "_RecorderOff",
+    # Lazy successor expansion: expansion records + row cursors vs the
+    # eager Succ (reference/eager_conjunct_evaluator.h) on a top-100 APPROX
+    # query from a high-fan-out hub.
+    "_LazyExpand": "_EagerExpand",
 }
 
 # Pairs that must not merely avoid regressing but beat their baseline by a
@@ -79,6 +83,11 @@ MIN_SPEEDUP = {
     # workload; 3x tolerates the shared final round dominating on small
     # graphs.
     "_DistanceSketch": 3.0,
+    # The eager side pushes the hub's whole neighbourhood once per `*`
+    # transition before its first answer; the lazy side pops what it
+    # pushes. The gap is algorithmic (~6,000x measured on a 4-vCPU x86
+    # host), so a lazy side that fell back to eager work lands near 1x.
+    "_LazyExpand": 100.0,
 }
 
 # Pairs whose work accrues on service worker threads while the driving
@@ -90,6 +99,14 @@ REAL_TIME_PAIRS = {"_CacheHit", "_ServiceParallel", "_MetricsOn",
 # Generous noise floor so the gate trips on real regressions, not scheduler
 # jitter; the structures win by integer factors when healthy.
 TOLERANCE = 1.10
+
+# google-benchmark reports times in each bench's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def format_time(ns: float, unit: str) -> str:
+    """Renders a nanosecond time in the bench's reported unit."""
+    return f"{ns / NS_PER_UNIT[unit]:.{0 if unit == 'ns' else 3}f} {unit}"
 
 
 def main() -> int:
@@ -107,7 +124,10 @@ def main() -> int:
                 continue
             # UseRealTime() benches report as "<name>/real_time".
             name = b["name"].removesuffix("/real_time")
-            times[name] = {"cpu": b["cpu_time"], "real": b["real_time"]}
+            unit = b.get("time_unit", "ns")
+            scale = NS_PER_UNIT[unit]
+            times[name] = {"cpu": b["cpu_time"] * scale,
+                           "real": b["real_time"] * scale, "unit": unit}
 
     checked = 0
     failures = []
@@ -143,8 +163,10 @@ def main() -> int:
             required = (f", requires >= {MIN_SPEEDUP[new_suffix]:.1f}x"
                         if new_suffix in MIN_SPEEDUP else "")
             print(
-                f"{verdict:>10}  {name}: {cpu_time:.0f} ns  vs  "
-                f"{base_name}: {base_time:.0f} ns  "
+                f"{verdict:>10}  {name}: "
+                f"{format_time(cpu_time, timing['unit'])}  vs  "
+                f"{base_name}: "
+                f"{format_time(base_time, times[base_name]['unit'])}  "
                 f"(ratio {ratio:.3f}, speedup {1 / ratio:.2f}x{required})"
             )
             if ratio > max_ratio:

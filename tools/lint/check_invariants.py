@@ -87,14 +87,6 @@ HOT_PATH_INCLUDE = re.compile(r'#include\s+"(?:eval|plan|service|snapshot)/')
 # check 3: documented exemptions, path -> justification (kept next to the
 # rule so an allowlist entry can't outlive its reason).
 HOT_PATH_CONTAINER_ALLOWLIST = {
-    "src/eval/rank_join_reference.h":
-        "seed join kept as executable reference (raced by the gate)",
-    "src/eval/rank_join_reference.cc":
-        "seed join kept as executable reference (raced by the gate)",
-    "src/eval/tuple_dictionary_reference.h":
-        "seed std::map dictionary kept as executable spec",
-    "src/eval/tuple_dictionary_reference.cc":
-        "seed std::map dictionary kept as executable spec",
     "src/eval/tuple_dictionary.h":
         "cold overflow lane behind the dense bucket window (documented)",
     "src/eval/tuple_dictionary.cc":
@@ -259,6 +251,7 @@ def check_cmake_registration(root: Path):
     rules = [
         # (source glob root, pattern, CMakeLists, how the file is named there)
         ("src", "**/*.cc", "src/CMakeLists.txt", "relative"),
+        ("reference", "*.cc", "reference/CMakeLists.txt", "name"),
         ("tests", "*.cc", "tests/CMakeLists.txt", "stem"),
         ("bench", "*.cc", "bench/CMakeLists.txt", "stem_or_name"),
         ("tools", "**/*.cc", "tools/CMakeLists.txt", "name_or_rel"),
