@@ -19,9 +19,11 @@
 #include "common/pack.h"
 #include "common/rng.h"
 #include "eval/conjunct_evaluator.h"
+#include "eval/initial_node_stream.h"
 #include "eval/rank_join.h"
 #include "eval/tuple_dictionary.h"
 #include "reference/eager_conjunct_evaluator.h"
+#include "reference/materialized_initial_node_stream.h"
 #include "reference/rank_join_reference.h"
 #include "reference/tuple_dictionary_reference.h"
 #include "rpq/query_parser.h"
@@ -428,6 +430,62 @@ void BM_SubstrateExpand_EagerExpand(benchmark::State& state) {
   ExpandWorkload<EagerConjunctEvaluator>(state);
 }
 BENCHMARK(BM_SubstrateExpand_EagerExpand)->Unit(benchmark::kMicrosecond);
+
+// Seeding: the lazy k-way merge against the materialising stream kept in
+// reference/ as its executable spec. Both pull the first top-100 batch of
+// the L4All Q7 shape next+|(prereq+.next) over a 200k-node chain: two
+// cost-0 start exits whose Tails overlap (~200k `next` tails, ~63k
+// `prereq` tails). The materialising side copies, sorts and deduplicates
+// both sets before its first node; the lazy side merges 100 heads.
+const GraphStore& SeedGraph() {
+  static const GraphStore* graph = [] {
+    Rng rng(7);
+    GraphBuilder builder;
+    constexpr size_t kNodes = 200000;
+    std::vector<NodeId> nodes;
+    nodes.reserve(kNodes);
+    for (size_t i = 0; i < kNodes; ++i) {
+      nodes.push_back(builder.GetOrAddNode("n" + std::to_string(i)));
+    }
+    const LabelId next = *builder.InternLabel("next");
+    const LabelId prereq = *builder.InternLabel("prereq");
+    for (size_t i = 0; i + 1 < kNodes; ++i) {
+      (void)builder.AddEdge(nodes[i], next, nodes[i + 1]);
+    }
+    for (size_t e = 0; e < kNodes / 2; ++e) {
+      (void)builder.AddEdge(nodes[rng.NextBounded(kNodes)], prereq,
+                            nodes[rng.NextBounded(kNodes)]);
+    }
+    return new GraphStore(std::move(builder).Finalize());
+  }();
+  return *graph;
+}
+
+template <typename Stream>
+void SeedWorkload(benchmark::State& state) {
+  const GraphStore& g = SeedGraph();
+  static const Nfa* nfa = [&g] {
+    RegexPtr regex = std::move(ParseRegex("next+|(prereq+.next)")).value();
+    return new Nfa(RemoveEpsilons(BuildThompsonNfa(*regex, g.labels())));
+  }();
+  size_t seeds = 0;
+  for (auto _ : state) {
+    Stream stream(&g, nullptr, nfa, /*include_remaining=*/false, 100);
+    seeds = stream.NextBatch().size();
+    benchmark::DoNotOptimize(seeds);
+  }
+  state.counters["seeds"] = static_cast<double>(seeds);
+}
+
+void BM_SubstrateSeed_LazySeed(benchmark::State& state) {
+  SeedWorkload<InitialNodeStream>(state);
+}
+BENCHMARK(BM_SubstrateSeed_LazySeed)->Unit(benchmark::kMicrosecond);
+
+void BM_SubstrateSeed_MaterializedSeed(benchmark::State& state) {
+  SeedWorkload<MaterializedInitialNodeStream>(state);
+}
+BENCHMARK(BM_SubstrateSeed_MaterializedSeed)->Unit(benchmark::kMicrosecond);
 
 void BM_ThompsonPlusEpsRemoval(benchmark::State& state) {
   const GraphStore& g = BenchGraph();

@@ -160,15 +160,8 @@ void ConjunctEvaluator::Open() {
   // is a candidate answer at weight(s0), so the stream must eventually yield
   // all nodes (GetAllNodesByLabel); otherwise only nodes with a usable first
   // edge are seeded (GetAllStartNodesByLabel). The visited set and answer
-  // map will see on the order of one entry per seed node, so size them from
-  // the graph up front instead of rehashing on the way there — capped, so a
-  // huge graph queried for a handful of answers doesn't pay gigabytes of
-  // upfront table for entries it will never insert.
-  constexpr size_t kMaxUpfrontReserve = size_t{1} << 20;
-  const size_t reserve_n =
-      std::min(static_cast<size_t>(graph_->NumNodes()), kMaxUpfrontReserve);
-  if (options_.use_visited_set) visited_.Reserve(reserve_n);
-  answers_.Reserve(reserve_n);
+  // map are not sized from the graph: they grow by doubling, so a top-k
+  // query pays for the entries it inserts, not for |V|.
   const bool include_remaining = nfa.IsFinal(s0);
   stream_ = std::make_unique<InitialNodeStream>(
       graph_, ontology_, &nfa, include_remaining, options_.batch_size);

@@ -23,17 +23,14 @@ InitialNodeStream::InitialNodeStream(const GraphStore* graph,
 }
 
 bool InitialNodeStream::Exhausted() const {
-  if (group_pos_ < group_nodes_.size()) return false;
+  if (!sources_.empty()) return false;
   if (next_group_ < group_costs_.size()) return false;
-  if (include_remaining_ && !remaining_done_) return false;
-  return true;
+  return !include_remaining_ || next_remaining_ >= graph_->NumNodes();
 }
 
-std::vector<NodeId> InitialNodeStream::CandidatesFor(
-    const NfaTransition& t) const {
-  std::vector<NodeId> out;
-  auto append = [&out](std::span<const NodeId> ids) {
-    out.insert(out.end(), ids.begin(), ids.end());
+void InitialNodeStream::AddSources(const NfaTransition& t) {
+  auto add = [this](const OidSet& set) {
+    if (!set.empty()) sources_.push_back(set.ids());
   };
   const bool entail = nfa_->entailment_matching() && ontology_ != nullptr;
   switch (t.kind) {
@@ -44,85 +41,82 @@ std::vector<NodeId> InitialNodeStream::CandidatesFor(
       const bool outgoing = t.dir == Direction::kOutgoing;
       if (entail && t.label != LabelDictionary::kTypeLabel) {
         for (LabelId down : ontology_->LabelDownSet(t.label)) {
-          append(outgoing ? graph_->Tails(down).ids()
-                          : graph_->Heads(down).ids());
+          add(outgoing ? graph_->Tails(down) : graph_->Heads(down));
         }
       } else if (entail && t.label == LabelDictionary::kTypeLabel &&
                  !outgoing) {
         // A reverse type edge from a class node matches instances of any
         // descendant class: any class node with a non-empty down-set of
         // typed descendants qualifies, as does any direct type target.
-        append(graph_->Heads(LabelDictionary::kTypeLabel).ids());
-        append(ontology_->BoundClassNodes().ids());
+        add(graph_->Heads(LabelDictionary::kTypeLabel));
+        add(ontology_->BoundClassNodes());
       } else {
-        append(outgoing ? graph_->Tails(t.label).ids()
-                        : graph_->Heads(t.label).ids());
+        add(outgoing ? graph_->Tails(t.label) : graph_->Heads(t.label));
       }
       break;
     }
     case TransitionKind::kAnyLabel:
-      append(graph_->SigmaEndpoints(t.dir).ids());
-      append(graph_->TypeEndpoints(t.dir).ids());
+      add(graph_->SigmaEndpoints(t.dir));
+      add(graph_->TypeEndpoints(t.dir));
       break;
     case TransitionKind::kAnyLabelBothDirs:
-      append(graph_->SigmaEndpoints(Direction::kOutgoing).ids());
-      append(graph_->SigmaEndpoints(Direction::kIncoming).ids());
-      append(graph_->TypeEndpoints(Direction::kOutgoing).ids());
-      append(graph_->TypeEndpoints(Direction::kIncoming).ids());
+      add(graph_->SigmaEndpoints(Direction::kOutgoing));
+      add(graph_->SigmaEndpoints(Direction::kIncoming));
+      add(graph_->TypeEndpoints(Direction::kOutgoing));
+      add(graph_->TypeEndpoints(Direction::kIncoming));
       break;
     case TransitionKind::kConstrainedType:
-      append(graph_->TypeEndpoints(Direction::kOutgoing).ids());
+      add(graph_->TypeEndpoints(Direction::kOutgoing));
       break;
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
-void InitialNodeStream::AdvanceGroup() {
-  group_nodes_.clear();
-  group_pos_ = 0;
-  while (group_nodes_.empty()) {
+void InitialNodeStream::LoadGroup(Cost cost) {
+  sources_.clear();
+  for (const NfaTransition& t : nfa_->Out(nfa_->initial())) {
+    if (t.cost == cost) AddSources(t);
+  }
+}
+
+NodeId InitialNodeStream::NextNode() {
+  for (;;) {
+    if (!sources_.empty()) {
+      // Merge step: pop the smallest head. A node repeated across sources
+      // (or yielded by a cheaper group — "the same node is not re-added to
+      // D_R at a higher cost") fails TestAndSet and is skipped.
+      size_t best = 0;
+      for (size_t i = 1; i < sources_.size(); ++i) {
+        if (sources_[i].front() < sources_[best].front()) best = i;
+      }
+      const NodeId n = sources_[best].front();
+      sources_[best] = sources_[best].subspan(1);
+      if (sources_[best].empty()) {
+        sources_[best] = sources_.back();
+        sources_.pop_back();
+      }
+      if (yielded_.TestAndSet(n)) return n;
+      continue;
+    }
     if (next_group_ < group_costs_.size()) {
-      const Cost cost = group_costs_[next_group_++];
-      // Union of candidates over all transitions at this cost, minus nodes
-      // yielded by cheaper groups ("the same node is not re-added to D_R at
-      // a higher cost").
-      std::vector<NodeId> merged;
-      for (const NfaTransition& t : nfa_->Out(nfa_->initial())) {
-        if (t.cost != cost) continue;
-        std::vector<NodeId> candidates = CandidatesFor(t);
-        merged.insert(merged.end(), candidates.begin(), candidates.end());
-      }
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      for (NodeId n : merged) {
-        if (!yielded_.Test(n)) {
-          yielded_.Set(n);
-          group_nodes_.push_back(n);
-        }
-      }
+      LoadGroup(group_costs_[next_group_++]);
       continue;
     }
-    if (include_remaining_ && !remaining_done_) {
-      remaining_done_ = true;
-      for (NodeId n = 0; n < graph_->NumNodes(); ++n) {
-        if (!yielded_.Test(n)) group_nodes_.push_back(n);
+    if (include_remaining_) {
+      while (next_remaining_ < graph_->NumNodes()) {
+        const NodeId n = next_remaining_++;
+        if (!yielded_.Test(n)) return n;
       }
-      continue;
     }
-    return;  // fully exhausted
+    return kInvalidNode;
   }
 }
 
 std::span<const NodeId> InitialNodeStream::NextBatch() {
   batch_.clear();
   while (batch_.size() < batch_size_) {
-    if (group_pos_ >= group_nodes_.size()) {
-      AdvanceGroup();
-      if (group_pos_ >= group_nodes_.size()) break;  // exhausted
-    }
-    batch_.push_back(group_nodes_[group_pos_++]);
+    const NodeId n = NextNode();
+    if (n == kInvalidNode) break;
+    batch_.push_back(n);
   }
   total_yielded_ += batch_.size();
   return batch_;

@@ -5,6 +5,15 @@
 // node follows (needed when the start state is final with positive weight,
 // making *every* node an answer at that weight). Batches are produced on
 // demand so nodes not needed for the requested top-k are never materialised.
+//
+// Every candidate source (Tails, Heads, SigmaEndpoints, TypeEndpoints,
+// BoundClassNodes, the down-set members' Tails/Heads) is already a sorted
+// distinct OidSet, so a cost group is a k-way merge over one span per
+// source: yielding a batch costs O(batch * k) plus the duplicates it skips,
+// never O(|group|). The remaining-nodes group is a counter scan over
+// [0, NumNodes). Yield order: groups by ascending cost, ascending NodeId
+// within a group, each node only in its cheapest group
+// (reference/materialized_initial_node_stream.h is the executable spec).
 #ifndef OMEGA_EVAL_INITIAL_NODE_STREAM_H_
 #define OMEGA_EVAL_INITIAL_NODE_STREAM_H_
 
@@ -30,16 +39,21 @@ class InitialNodeStream {
   /// when exhausted. Spans are valid until the next call.
   std::span<const NodeId> NextBatch();
 
+  /// True once nothing is left to yield; NextBatch then returns an empty
+  /// batch. May stay false while only already-yielded nodes are left.
   bool Exhausted() const;
 
   size_t total_yielded() const { return total_yielded_; }
 
  private:
-  /// Lazily materialises the next non-empty group into group_nodes_.
-  void AdvanceGroup();
+  /// Next node in yield order, or kInvalidNode when exhausted.
+  NodeId NextNode();
 
-  /// Sorted distinct candidate nodes for one transition group.
-  std::vector<NodeId> CandidatesFor(const NfaTransition& t) const;
+  /// Replaces sources_ with the candidate sources of the next cost group.
+  void LoadGroup(Cost cost);
+
+  /// Appends the candidate sources of one start-state transition.
+  void AddSources(const NfaTransition& t);
 
   const GraphStore* graph_;
   const BoundOntology* ontology_;
@@ -48,14 +62,15 @@ class InitialNodeStream {
   size_t batch_size_;
 
   std::vector<Cost> group_costs_;  // ascending distinct costs of s0 exits
-  size_t next_group_ = 0;          // index into group_costs_; one past =
-                                   // the "remaining nodes" pseudo-group
-  bool remaining_done_ = false;
+  size_t next_group_ = 0;          // index into group_costs_
 
-  std::vector<NodeId> group_nodes_;  // current group, not yet yielded
-  size_t group_pos_ = 0;
+  // Current cost group: the unconsumed suffix of each candidate source,
+  // none of them empty. The merge pops the smallest head.
+  std::vector<std::span<const NodeId>> sources_;
+  NodeId next_remaining_ = 0;  // counter of the remaining-nodes group
+
   std::vector<NodeId> batch_;  // storage for the last returned span
-  Bitmap yielded_;             // nodes already produced by earlier groups
+  Bitmap yielded_;             // nodes already produced
   size_t total_yielded_ = 0;
 };
 

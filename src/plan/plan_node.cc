@@ -65,6 +65,7 @@ void AppendNode(const PlanNode& node, const VarCatalog& catalog,
               " amp=" + FormatAmplification(stats.tuples_pushed,
                                             stats.tuples_popped) +
               " dict-peak=" + std::to_string(stats.max_dictionary_size) +
+              " seeds=" + std::to_string(stats.seeds_added) +
               " fetches=" + std::to_string(stats.neighbor_group_fetches) +
               "}";
     }

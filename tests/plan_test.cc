@@ -292,7 +292,25 @@ TEST(PlannerEngineTest, ExplainQueryRendersTreeWithEstimates) {
   EXPECT_NE(analyzed.find("popped="), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("amp="), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("dict-peak="), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("seeds="), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("live-peak="), std::string::npos) << analyzed;
+}
+
+TEST(PlannerEngineTest, ExplainAnalyzeReportsSeedsPerLeaf) {
+  GraphStore g = SkewedGraph();
+  QueryEngine engine(&g, nullptr);
+  // (?X, a, ?Y) seeds every a-tail (s0..s19) once drained; (?Y, b, t3)
+  // evaluates from its constant end and seeds that one node.
+  Result<Query> q = ParseQuery("(?X) <- (?X, a, ?Y), (?Y, b, t3)");
+  ASSERT_TRUE(q.ok());
+  auto stream = engine.Execute(*q);
+  ASSERT_TRUE(stream.ok());
+  QueryAnswer a;
+  while ((*stream)->Next(&a)) {
+  }
+  const std::string analyzed = (*stream)->ExplainString();
+  EXPECT_NE(analyzed.find("seeds=20 "), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("seeds=1 "), std::string::npos) << analyzed;
 }
 
 TEST(PlannerEngineTest, ForcedOrderMustBePermutation) {

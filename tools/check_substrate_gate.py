@@ -4,17 +4,21 @@
 Reads one or more google-benchmark JSON reports written by
 
     bench_micro_substrate --benchmark_filter=Substrate \
+        --benchmark_repetitions=5 \
         --benchmark_out=BENCH_substrate.json --benchmark_out_format=json
-    bench_plan --benchmark_filter=Substrate \
+    bench_plan --benchmark_filter=Substrate --benchmark_repetitions=5 \
         --benchmark_out=BENCH_plan.json --benchmark_out_format=json
 
 merges their timings, pairs each new-substrate bench with its baseline by
 name suffix, and fails (exit 1) if any new implementation is slower than its
 baseline beyond a noise tolerance — or, for pairs with a required minimum
-speedup, not faster by at least that factor. Run via the `substrate_gate`
-CMake target.
+speedup, not faster by at least that factor. Each bench is judged on its
+`median` aggregate over the repetitions (a report without aggregates falls
+back to the median of its samples), and each side's coefficient of variation is
+printed next to the verdict. Run via the `substrate_gate` CMake target.
 """
 import json
+import statistics
 import sys
 
 # new-implementation suffix -> baseline suffix
@@ -56,6 +60,10 @@ PAIRINGS = {
     # eager Succ (reference/eager_conjunct_evaluator.h) on a top-100 APPROX
     # query from a high-fan-out hub.
     "_LazyExpand": "_EagerExpand",
+    # Lazy seeding: the k-way merge over sorted OidSets vs the materialising
+    # stream (reference/materialized_initial_node_stream.h), pulling the
+    # first top-100 batch of a two-exit start state over ~200k tails.
+    "_LazySeed": "_MaterializedSeed",
 }
 
 # Pairs that must not merely avoid regressing but beat their baseline by a
@@ -88,6 +96,12 @@ MIN_SPEEDUP = {
     # pushes. The gap is algorithmic (~6,000x measured on a 4-vCPU x86
     # host), so a lazy side that fell back to eager work lands near 1x.
     "_LazyExpand": 100.0,
+    # The materialising side sorts and merges every candidate before its
+    # first node; the lazy side merges 100 heads. ~11,000x measured on a
+    # 4-vCPU x86 host (1.5 us vs 16.7 ms, medians of 5), so 100x leaves two
+    # orders of magnitude of headroom and still trips on any fallback to
+    # whole-group work.
+    "_LazySeed": 100.0,
 }
 
 # Pairs whose work accrues on service worker threads while the driving
@@ -115,19 +129,37 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    times = {}
+    samples = {}   # name -> {"cpu": [ns], "real": [ns], "unit": unit}
+    medians = {}   # name -> {"cpu": ns, "real": ns}
     for path in sys.argv[1:]:
         with open(path) as f:
             report = json.load(f)
         for b in report.get("benchmarks", []):
-            if b.get("run_type", "iteration") != "iteration":
-                continue
             # UseRealTime() benches report as "<name>/real_time".
-            name = b["name"].removesuffix("/real_time")
+            name = b.get("run_name", b["name"]).removesuffix("/real_time")
             unit = b.get("time_unit", "ns")
             scale = NS_PER_UNIT[unit]
-            times[name] = {"cpu": b["cpu_time"] * scale,
-                           "real": b["real_time"] * scale, "unit": unit}
+            run_type = b.get("run_type", "iteration")
+            if run_type == "iteration":
+                entry = samples.setdefault(
+                    name, {"cpu": [], "real": [], "unit": unit})
+                entry["cpu"].append(b["cpu_time"] * scale)
+                entry["real"].append(b["real_time"] * scale)
+            elif b.get("aggregate_name") == "median":
+                medians[name] = {"cpu": b["cpu_time"] * scale,
+                                 "real": b["real_time"] * scale}
+
+    times = {}
+    for name, entry in samples.items():
+        times[name] = {"unit": entry["unit"], "n": len(entry["cpu"])}
+        for metric in ("cpu", "real"):
+            values = entry[metric]
+            median = medians.get(name, {}).get(metric,
+                                               statistics.median(values))
+            cv = (statistics.stdev(values) / statistics.mean(values)
+                  if len(values) > 1 and statistics.mean(values) > 0 else 0.0)
+            times[name][metric] = median
+            times[name][metric + "_cv"] = cv
 
     checked = 0
     failures = []
@@ -162,11 +194,14 @@ def main() -> int:
                 verdict = "REGRESSION"
             required = (f", requires >= {MIN_SPEEDUP[new_suffix]:.1f}x"
                         if new_suffix in MIN_SPEEDUP else "")
+            base = times[base_name]
             print(
                 f"{verdict:>10}  {name}: "
-                f"{format_time(cpu_time, timing['unit'])}  vs  "
+                f"{format_time(cpu_time, timing['unit'])} "
+                f"(cv {timing[metric + '_cv']:.1%}, n={timing['n']})  vs  "
                 f"{base_name}: "
-                f"{format_time(base_time, times[base_name]['unit'])}  "
+                f"{format_time(base_time, base['unit'])} "
+                f"(cv {base[metric + '_cv']:.1%}, n={base['n']})  "
                 f"(ratio {ratio:.3f}, speedup {1 / ratio:.2f}x{required})"
             )
             if ratio > max_ratio:
