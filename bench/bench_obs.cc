@@ -1,28 +1,20 @@
 // Observability overhead gate: the same mixed serving workload (exact /
 // APPROX / RELAX, single- and multi-conjunct, cache-bypassed so the engine
-// actually runs) driven through a QueryService twice:
-//
-//   BM_SubstrateObs_ServeMix_MetricsOn   all service/cache instruments live
-//                                        (private MetricsRegistry)
-//   BM_SubstrateObs_ServeMix_MetricsOff  enable_metrics=false: no instruments
-//                                        created, hot paths take the null
-//                                        branch
-//
-// tools/check_substrate_gate.py pairs them under the default tolerance: the
-// instrumented run must stay within ~10% of the uninstrumented one, i.e.
-// the relaxed-atomic counter/gauge/histogram increments must be near-free
-// on the serving path. Tracing is deliberately not part of the pair — it is
-// an opt-in per-request diagnostic, not an always-on cost.
-//
-// A second pair proves the flight recorder's always-on contract the same
-// way:
+// actually runs) driven through a QueryService twice, to prove the flight
+// recorder's always-on contract:
 //
 //   BM_SubstrateObs_ServeMix_RecorderOn   every completion appends a flat
 //                                         summary to a FlightRecorder ring
 //   BM_SubstrateObs_ServeMix_RecorderOff  options.flight_recorder == nullptr
 //
-// The slow threshold is left at its (high) default so the pair measures the
-// fast path — one mutex-guarded struct append per completion.
+// tools/check_substrate_gate.py pairs them under the default tolerance: the
+// recorded run must stay within ~10% of the unrecorded one. The slow
+// threshold is left at its (high) default so the pair measures the fast
+// path — one mutex-guarded struct append per completion. Both runs count
+// into the service's registry instruments, which are its only ledger of
+// serving events and have no off switch. Tracing is deliberately not part
+// of the pair — it is an opt-in per-request diagnostic, not an always-on
+// cost.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -34,7 +26,6 @@
 
 #include "common/rng.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "rpq/query_parser.h"
 #include "service/query_service.h"
 #include "store/graph_builder.h"
@@ -45,8 +36,8 @@ using namespace omega;
 
 /// Hub-skewed social-ish graph, same shape as bench_service's: enough
 /// fan-out that APPROX queries do real automaton work.
-const GraphStore& ServingGraph() {
-  static const GraphStore* graph = [] {
+const std::shared_ptr<const Dataset>& ServingDataset() {
+  static const auto* dataset = [] {
     Rng rng(777);
     GraphBuilder builder;
     constexpr size_t kPeople = 400;
@@ -71,13 +62,6 @@ const GraphStore& ServingGraph() {
                             rng.NextBounded(2) == 0 ? "worksAt" : "studiesAt",
                             orgs[rng.NextBounded(kOrgs)]);
     }
-    return new GraphStore(std::move(builder).Finalize());
-  }();
-  return *graph;
-}
-
-const Ontology& ServingOntology() {
-  static const Ontology* ontology = [] {
     OntologyBuilder ob;
     (void)ob.AddSubproperty("worksAt", "affiliatedWith");
     (void)ob.AddSubproperty("studiesAt", "affiliatedWith");
@@ -88,9 +72,10 @@ const Ontology& ServingOntology() {
       std::fprintf(stderr, "bench_obs: %s\n", o.status().ToString().c_str());
       std::abort();
     }
-    return new Ontology(std::move(o).value());
+    return new std::shared_ptr<const Dataset>(Dataset::FromParts(
+        std::move(builder).Finalize(), std::move(o).value()));
   }();
-  return *ontology;
+  return *dataset;
 }
 
 const std::vector<Query>& Workload() {
@@ -142,55 +127,16 @@ size_t DriveClients(QueryService* service) {
   return ok.load();
 }
 
-void ObsBench(benchmark::State& state, bool metrics_on) {
-  // A private registry keeps the gate self-contained (the On run does not
-  // pollute the process-global instruments) while exercising the exact
-  // production code path. It must outlive the service and its epochs —
-  // declared first, destroyed last.
-  MetricsRegistry registry;
-  QueryServiceOptions options;
-  options.num_workers = 2;
-  options.max_queue = 1024;  // admission never skews the pair
-  options.enable_metrics = metrics_on;
-  options.metrics = &registry;
-  QueryService service(&ServingGraph(), &ServingOntology(),
-                       std::move(options));
-  size_t total_ok = 0;
-  for (auto _ : state) {
-    total_ok += DriveClients(&service);
-  }
-  if (total_ok != state.iterations() * kClientThreads * kRequestsPerClient) {
-    state.SkipWithError("some requests failed");
-  }
-  if (metrics_on &&
-      registry.GetCounter("omega_service_submitted_total")->Value() <
-          total_ok) {
-    state.SkipWithError("metrics-on run did not record submissions");
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(total_ok));
-}
-
-void BM_SubstrateObs_ServeMix_MetricsOn(benchmark::State& state) {
-  ObsBench(state, /*metrics_on=*/true);
-}
-BENCHMARK(BM_SubstrateObs_ServeMix_MetricsOn)->UseRealTime();
-
-void BM_SubstrateObs_ServeMix_MetricsOff(benchmark::State& state) {
-  ObsBench(state, /*metrics_on=*/false);
-}
-BENCHMARK(BM_SubstrateObs_ServeMix_MetricsOff)->UseRealTime();
-
 void RecorderBench(benchmark::State& state, bool recorder_on) {
-  // Metrics stay off in both runs so the pair isolates the recorder's cost;
-  // the recorder must outlive the service (declared first).
+  // The recorder must outlive the service (declared first).
   FlightRecorder recorder;
   QueryServiceOptions options;
   options.num_workers = 2;
   options.max_queue = 1024;
-  options.enable_metrics = false;
+  // Graph walk only: the pair measures the serving path, not index probes.
+  options.engine.use_reachability_index = false;
   options.flight_recorder = recorder_on ? &recorder : nullptr;
-  QueryService service(&ServingGraph(), &ServingOntology(),
-                       std::move(options));
+  QueryService service(ServingDataset(), std::move(options));
   size_t total_ok = 0;
   for (auto _ : state) {
     total_ok += DriveClients(&service);

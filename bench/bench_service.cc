@@ -32,8 +32,8 @@ using namespace omega;
 
 /// Mid-sized social-ish graph: enough fan-out that APPROX queries do real
 /// automaton work, plus a type hierarchy for RELAX.
-const GraphStore& ServingGraph() {
-  static const GraphStore* graph = [] {
+const std::shared_ptr<const Dataset>& ServingDataset() {
+  static const auto* dataset = [] {
     Rng rng(4242);
     GraphBuilder builder;
     constexpr size_t kPeople = 600;
@@ -58,13 +58,6 @@ const GraphStore& ServingGraph() {
                             rng.NextBounded(2) == 0 ? "worksAt" : "studiesAt",
                             orgs[rng.NextBounded(kOrgs)]);
     }
-    return new GraphStore(std::move(builder).Finalize());
-  }();
-  return *graph;
-}
-
-const Ontology& ServingOntology() {
-  static const Ontology* ontology = [] {
     OntologyBuilder ob;
     (void)ob.AddSubproperty("worksAt", "affiliatedWith");
     (void)ob.AddSubproperty("studiesAt", "affiliatedWith");
@@ -75,9 +68,10 @@ const Ontology& ServingOntology() {
       std::fprintf(stderr, "bench_service: %s\n", o.status().ToString().c_str());
       std::abort();
     }
-    return new Ontology(std::move(o).value());
+    return new std::shared_ptr<const Dataset>(Dataset::FromParts(
+        std::move(builder).Finalize(), std::move(o).value()));
   }();
-  return *ontology;
+  return *dataset;
 }
 
 const std::vector<Query>& Workload() {
@@ -114,6 +108,8 @@ QueryServiceOptions ServiceOptions(size_t workers) {
   QueryServiceOptions options;
   options.num_workers = workers;
   options.max_queue = 1024;  // admission never skews the throughput pair
+  // Graph walk only: the pair measures the serving path, not index probes.
+  options.engine.use_reachability_index = false;
   return options;
 }
 
@@ -143,8 +139,7 @@ size_t DriveClients(QueryService* service, bool bypass_cache) {
 }
 
 void ThroughputBench(benchmark::State& state, size_t workers) {
-  QueryService service(&ServingGraph(), &ServingOntology(),
-                       ServiceOptions(workers));
+  QueryService service(ServingDataset(), ServiceOptions(workers));
   size_t total_ok = 0;
   for (auto _ : state) {
     total_ok += DriveClients(&service, /*bypass_cache=*/true);
@@ -167,8 +162,7 @@ void BM_SubstrateService_ColdMix_ServiceSerial(benchmark::State& state) {
 /// Cache-hit latency: every iteration answers the whole mix from the cache
 /// (warmed once outside the timed region).
 void BM_SubstrateService_RepeatedMix_CacheHit(benchmark::State& state) {
-  QueryService service(&ServingGraph(), &ServingOntology(),
-                       ServiceOptions(2));
+  QueryService service(ServingDataset(), ServiceOptions(2));
   const std::vector<Query>& workload = Workload();
   for (const Query& query : workload) {  // warm
     QueryRequest request;
@@ -200,8 +194,7 @@ void BM_SubstrateService_RepeatedMix_CacheHit(benchmark::State& state) {
 
 /// Cache-miss latency twin: identical requests forced through evaluation.
 void BM_SubstrateService_RepeatedMix_CacheMiss(benchmark::State& state) {
-  QueryService service(&ServingGraph(), &ServingOntology(),
-                       ServiceOptions(2));
+  QueryService service(ServingDataset(), ServiceOptions(2));
   size_t answers = 0;
   for (auto _ : state) {
     for (const Query& query : Workload()) {

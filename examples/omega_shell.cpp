@@ -441,11 +441,9 @@ class Shell {
       std::printf("%s\n", next.status().ToString().c_str());
       return;
     }
-    QueryServiceOptions service_options;
-    service_options.num_workers = workers;
-    service_options.max_queue = std::max<size_t>(64, clients * 2);
-    service_options.engine = options_;
-    QueryService service(dataset_, service_options);
+    const std::unique_ptr<QueryService> service =
+        MakeService(workers, std::max<size_t>(64, clients * 2),
+                    /*ops_plane=*/false);
 
     const size_t total = clients * repeat;
     std::atomic<size_t> ok{0}, errors{0}, submitted{0};
@@ -456,7 +454,7 @@ class Shell {
       while (submitted.load() < total / 2) {
         std::this_thread::yield();
       }
-      const Status status = service.SwapDataset(*next);
+      const Status status = service->SwapDataset(*next);
       if (!status.ok()) {
         std::printf("swap failed: %s\n", status.ToString().c_str());
       }
@@ -472,7 +470,7 @@ class Shell {
           request.bypass_cache = (c + r) % 4 == 0;
           ++submitted;
           const QueryResponse response =
-              service.Execute(std::move(request));
+              service->Execute(std::move(request));
           if (response.status.ok()) {
             ++ok;
             ++epoch_counts[response.epoch % 2];
@@ -489,7 +487,7 @@ class Shell {
     std::printf(
         "%zu requests on %zu workers in %.1f ms => %.0f qps; %zu ok, "
         "%zu failed\n",
-        total, service.num_workers(), elapsed_ms,
+        total, service->num_workers(), elapsed_ms,
         elapsed_ms > 0 ? 1000.0 * static_cast<double>(total) / elapsed_ms
                        : 0.0,
         ok.load(), errors.load());
@@ -497,7 +495,7 @@ class Shell {
         "hot swap to '%s': %zu answers served by epoch 0 (old dataset), "
         "%zu by epoch 1 (snapshot)\n",
         path.c_str(), epoch_counts[0].load(), epoch_counts[1].load());
-    std::printf("%s", service.stats().ToString().c_str());
+    std::printf("%s", service->stats().ToString().c_str());
   }
 
   void Explain(const std::string& text) {
@@ -619,12 +617,8 @@ class Shell {
     }
     flight_recorder_ =
         std::make_unique<FlightRecorder>(recorder_options);
-    QueryServiceOptions service_options;
-    service_options.num_workers = 4;
-    service_options.engine = options_;
-    service_options.flight_recorder = flight_recorder_.get();
-    admin_service_ = std::make_unique<QueryService>(dataset_,
-                                                    service_options);
+    admin_service_ = MakeService(/*workers=*/4, /*max_queue=*/64,
+                                 /*ops_plane=*/true);
     AdminServerOptions server_options;
     server_options.port = port;
     admin_server_ = std::make_unique<AdminServer>(server_options);
@@ -646,6 +640,22 @@ class Shell {
         admin_server_->bind_address().c_str(), admin_server_->port(),
         static_cast<unsigned long long>(
             flight_recorder_->slow_threshold_us()));
+  }
+
+  /// Builds every QueryService the shell runs. Only the ops-plane one
+  /// (`.admin`) counts into MetricsRegistry::Global() and records flights,
+  /// so /metrics and `.slowlog` see its traffic.
+  std::unique_ptr<QueryService> MakeService(size_t workers, size_t max_queue,
+                                            bool ops_plane) const {
+    QueryServiceOptions options;
+    options.num_workers = workers;
+    options.max_queue = max_queue;
+    options.engine = options_;
+    if (ops_plane) {
+      options.metrics = MetricsRegistry::Global();
+      options.flight_recorder = flight_recorder_.get();
+    }
+    return std::make_unique<QueryService>(dataset_, options);
   }
 
   void StopAdmin() {
@@ -681,12 +691,8 @@ class Shell {
       std::printf("(replaying through the admin-plane service: %zu workers)\n",
                   service->num_workers());
     } else {
-      QueryServiceOptions service_options;
-      service_options.num_workers = workers;
-      service_options.max_queue = std::max<size_t>(64, clients * 2);
-      service_options.engine = options_;
-      local_service =
-          std::make_unique<QueryService>(dataset_, service_options);
+      local_service = MakeService(workers, std::max<size_t>(64, clients * 2),
+                                  /*ops_plane=*/false);
       service = local_service.get();
     }
 

@@ -26,10 +26,8 @@ std::string NotReadyReason(const AdminServer* server,
 }  // namespace
 
 MetricsRegistry* EffectiveMetricsRegistry(const QueryService* service) {
-  if (service != nullptr && service->metrics_registry() != nullptr) {
-    return service->metrics_registry();
-  }
-  return MetricsRegistry::Global();
+  return service != nullptr ? service->metrics_registry()
+                            : MetricsRegistry::Global();
 }
 
 FlightRecorder* EffectiveFlightRecorder(const QueryService* service) {

@@ -51,9 +51,8 @@ struct OpsPlaneOptions {
 /// `options` into the handlers; the pointed-to surfaces are borrowed.
 void RegisterOpsRoutes(AdminServer* server, const OpsPlaneOptions& options);
 
-/// The registry `service` exports into when it has one (injected or
-/// global); MetricsRegistry::Global() when `service` is null or has
-/// metrics disabled. Never null.
+/// The registry `service` counts into (injected or its private one);
+/// MetricsRegistry::Global() when `service` is null. Never null.
 MetricsRegistry* EffectiveMetricsRegistry(const QueryService* service);
 
 /// The service's attached flight recorder, or null when `service` is null

@@ -5,10 +5,10 @@
 // upcoming network front end serves RenderText() verbatim.
 //
 // Concurrency model, on the annotated lock layer:
-//  - Instrument values (Counter/Gauge/Histogram cells) are RelaxedAtomic:
-//    monotonic statistics where any interleaving of relaxed increments and
-//    reads is a correct outcome, so a hot-path Increment() is one relaxed
-//    fetch_add — no lock, no allocation.
+//  - Instrument values are lock-free atomics, so a hot-path update is one
+//    atomic op — no lock, no allocation. Gauge and Histogram cells are
+//    RelaxedAtomic; Counter cells are PublishingCounter (release
+//    increments, acquire reads), which QueryService::stats() relies on.
 //  - The name -> instrument map is OMEGA_GUARDED_BY(mu_). GetOrCreate*() is
 //    a setup-path operation (service construction, first use of a family);
 //    callers cache the returned pointer and never touch the map on the hot
@@ -43,8 +43,7 @@ class Counter {
   uint64_t Value() const { return value_.Load(); }
 
  private:
-  // RelaxedAtomic: monotonic statistic, readers tolerate any stale value.
-  RelaxedAtomic<uint64_t> value_;
+  PublishingCounter<uint64_t> value_;
 };
 
 /// Signed level gauge (queue depth, mapped bytes, in-flight queries).
@@ -56,6 +55,8 @@ class Gauge {
 
   void Set(int64_t value) { value_.Store(value); }
   void Add(int64_t delta) { value_.FetchAdd(delta); }
+  /// High-water update: concurrent writers keep the largest value offered.
+  void UpdateMax(int64_t value) { value_.FetchMax(value); }
   int64_t Value() const { return value_.Load(); }
 
  private:

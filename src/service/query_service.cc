@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -26,13 +27,10 @@ struct EpochDrainTracker {
   /// bounded by the number of epochs still pinned by in-flight queries.
   std::vector<std::pair<uint64_t, std::chrono::steady_clock::time_point>>
       retired_at OMEGA_GUARDED_BY(mu);
-  uint64_t retired OMEGA_GUARDED_BY(mu) = 0;
-  uint64_t drained OMEGA_GUARDED_BY(mu) = 0;
-  double drain_ms_total OMEGA_GUARDED_BY(mu) = 0;
   double drain_ms_max OMEGA_GUARDED_BY(mu) = 0;
-  /// Registry sink (null when metrics are disabled). Written once at
-  /// service construction, before any epoch exists; the histogram's cells
-  /// are relaxed-atomic, so observing outside `mu` would also be safe.
+  /// Written once at service construction; `registry` is co-owned so
+  /// `drain_us` outlives the service. Drains are observed under `mu`.
+  std::shared_ptr<MetricsRegistry> registry;
   Histogram* drain_us = nullptr;
   /// Lifecycle journal for drain events. Written once at construction;
   /// never null afterwards (defaults to EventLog::Global(), which outlives
@@ -40,52 +38,108 @@ struct EpochDrainTracker {
   EventLog* events = nullptr;
 };
 
+namespace {
+
+/// The status label values of omega_service_completed_total (the order of
+/// ServiceMetrics::PerClass::completed) and the ServiceStats total of each.
+constexpr struct {
+  const char* label;
+  uint64_t ServiceStats::*total;
+} kStatuses[] = {{"ok", &ServiceStats::completed},
+                 {"cancelled", &ServiceStats::cancelled},
+                 {"deadline", &ServiceStats::deadline_exceeded},
+                 {"error", &ServiceStats::failed}};
+constexpr size_t kNumStatuses = std::size(kStatuses);
+
+size_t StatusIndex(StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk:
+      return 0;
+    case StatusCode::kCancelled:
+      return 1;
+    case StatusCode::kDeadlineExceeded:
+      return 2;
+    default:
+      return 3;
+  }
+}
+
+/// An EvaluatorStats field the service exports per query class.
+struct EvalField {
+  const char* name;
+  const char* help;
+  uint64_t EvaluatorStats::*field;
+};
+
+/// Sums over executed queries: one counter per class each.
+constexpr EvalField kEvalSums[] = {
+    {"omega_eval_tuples_popped_total", "Tuple-dictionary removals",
+     &EvaluatorStats::tuples_popped},
+    {"omega_eval_tuples_pushed_total",
+     "Tuple-dictionary insertions (tuples, cursors, expansion records)",
+     &EvaluatorStats::tuples_pushed},
+    {"omega_eval_succ_expansions_total", "Non-final tuples expanded",
+     &EvaluatorStats::succ_expansions},
+    {"omega_eval_neighbor_fetches_total", "Neighbour-row fetches",
+     &EvaluatorStats::neighbor_group_fetches},
+    {"omega_eval_answers_emitted_total", "Answers the result streams emitted",
+     &EvaluatorStats::answers_emitted},
+    {"omega_eval_seeds_total", "Start tuples seeding added",
+     &EvaluatorStats::seeds_added},
+    {"omega_eval_rounds_total", "Distance-aware restarts",
+     &EvaluatorStats::rounds},
+};
+constexpr size_t kNumEvalSums = std::size(kEvalSums);
+
+/// High-waters over executed queries: one max-updated gauge per class each.
+constexpr EvalField kEvalPeaks[] = {
+    {"omega_eval_dict_peak", "Largest tuple-dictionary size seen",
+     &EvaluatorStats::max_dictionary_size},
+    {"omega_eval_join_live_peak",
+     "Largest rank-join tables + heap size seen",
+     &EvaluatorStats::max_join_live},
+};
+constexpr size_t kNumEvalPeaks = std::size(kEvalPeaks);
+
+}  // namespace
+
 /// Cached instrument pointers, resolved once at construction: hot paths
-/// (Submit, WorkerLoop, Complete) do relaxed increments through these and
+/// (Submit, WorkerLoop, Complete) do lock-free increments through these and
 /// never touch the registry map.
 struct QueryService::ServiceMetrics {
+  /// The instruments labelled class="EXACT|APPROX|RELAX|MIXED".
+  struct PerClass {
+    Counter* completed[kNumStatuses];
+    Counter* cache_lookups;
+    Counter* cache_hits;
+    Histogram* queue_wait_us;
+    Histogram* exec_us;
+    Counter* join_rows;
+    Counter* eval_sums[kNumEvalSums];
+    Gauge* eval_peaks[kNumEvalPeaks];
+  };
+
   explicit ServiceMetrics(MetricsRegistry* registry) {
     submitted = registry->GetCounter("omega_service_submitted_total",
                                      "Admitted submissions (incl. hits)");
     rejected = registry->GetCounter("omega_service_rejected_total",
                                     "Admission-queue-full rejections");
-    const char* completed_help = "Request completions by status";
-    completed_ok = registry->GetCounter("omega_service_completed_total",
-                                        completed_help, "status=\"ok\"");
-    completed_cancelled = registry->GetCounter(
-        "omega_service_completed_total", completed_help,
-        "status=\"cancelled\"");
-    completed_deadline = registry->GetCounter("omega_service_completed_total",
-                                              completed_help,
-                                              "status=\"deadline\"");
-    completed_error = registry->GetCounter("omega_service_completed_total",
-                                           completed_help, "status=\"error\"");
     queue_depth = registry->GetGauge("omega_service_queue_depth",
                                      "Requests waiting in the admission "
                                      "queue");
     in_flight = registry->GetGauge("omega_service_in_flight",
                                    "Requests currently executing on workers");
-    queue_wait_us = registry->GetHistogram("omega_service_queue_wait_us",
-                                           "Admission-queue wait");
-    for (size_t i = 0; i < kNumQueryClasses; ++i) {
-      const std::string labels =
-          std::string("class=\"") +
-          QueryClassToString(static_cast<QueryClass>(i)) + "\"";
-      exec_us[i] = registry->GetHistogram(
-          "omega_service_exec_us", "Engine execution time by query class",
-          labels);
-    }
-    cache_hits = registry->GetCounter("omega_cache_hits_total",
-                                      "Result-cache hits");
-    cache_misses = registry->GetCounter("omega_cache_misses_total",
-                                        "Result-cache misses");
-    cache_insertions = registry->GetCounter("omega_cache_insertions_total",
-                                            "Result-cache insertions");
-    cache_evictions = registry->GetCounter(
-        "omega_cache_evictions_total",
-        "Result-cache evictions (LRU pressure + invalidations)");
     workers = registry->GetGauge("omega_service_workers",
                                  "Query worker pool size");
+    cache.hits = registry->GetCounter("omega_cache_hits_total",
+                                      "Result-cache hits");
+    cache.misses = registry->GetCounter("omega_cache_misses_total",
+                                        "Result-cache misses");
+    cache.insertions = registry->GetCounter("omega_cache_insertions_total",
+                                            "Result-cache insertions");
+    cache.evictions = registry->GetCounter(
+        "omega_cache_evictions_total",
+        "Result-cache evictions (LRU pressure + invalidations)");
     swaps = registry->GetCounter("omega_service_swaps_total",
                                  "Dataset hot-swaps published");
     swap_us = registry->GetHistogram("omega_service_swap_us",
@@ -93,26 +147,52 @@ struct QueryService::ServiceMetrics {
     epoch_drain_us = registry->GetHistogram(
         "omega_service_epoch_drain_us",
         "Retired-epoch drain time (retire to last pin drop)");
+    for (size_t c = 0; c < kNumQueryClasses; ++c) {
+      const std::string labels =
+          std::string("class=\"") +
+          QueryClassToString(static_cast<QueryClass>(c)) + "\"";
+      PerClass& m = per_class[c];
+      for (size_t s = 0; s < kNumStatuses; ++s) {
+        m.completed[s] = registry->GetCounter(
+            "omega_service_completed_total",
+            "Request completions by query class and status",
+            labels + ",status=\"" + kStatuses[s].label + "\"");
+      }
+      m.cache_lookups = registry->GetCounter(
+          "omega_service_cache_lookups_total",
+          "Completed requests that consulted the result cache", labels);
+      m.cache_hits = registry->GetCounter(
+          "omega_service_cache_hits_total",
+          "Completed requests served from the result cache", labels);
+      m.queue_wait_us = registry->GetHistogram(
+          "omega_service_queue_wait_us", "Admission-queue wait", labels);
+      m.exec_us = registry->GetHistogram(
+          "omega_service_exec_us", "Engine execution time by query class",
+          labels);
+      m.join_rows = registry->GetCounter(
+          "omega_service_join_rows_total",
+          "Rows released by rank-join operators", labels);
+      for (size_t i = 0; i < kNumEvalSums; ++i) {
+        m.eval_sums[i] = registry->GetCounter(kEvalSums[i].name,
+                                              kEvalSums[i].help, labels);
+      }
+      for (size_t i = 0; i < kNumEvalPeaks; ++i) {
+        m.eval_peaks[i] = registry->GetGauge(kEvalPeaks[i].name,
+                                             kEvalPeaks[i].help, labels);
+      }
+    }
   }
 
   Counter* submitted;
   Counter* rejected;
-  Counter* completed_ok;
-  Counter* completed_cancelled;
-  Counter* completed_deadline;
-  Counter* completed_error;
   Gauge* queue_depth;
   Gauge* in_flight;
-  Histogram* queue_wait_us;
-  Histogram* exec_us[kNumQueryClasses];
-  Counter* cache_hits;
-  Counter* cache_misses;
-  Counter* cache_insertions;
-  Counter* cache_evictions;
   Gauge* workers;
+  ResultCacheCounters cache;
   Counter* swaps;
   Histogram* swap_us;
   Histogram* epoch_drain_us;
+  PerClass per_class[kNumQueryClasses];
 };
 
 namespace {
@@ -127,12 +207,8 @@ void RecordEpochDrained(EpochDrainTracker& tracker, uint64_t epoch_id) {
     if (it->first != epoch_id) continue;
     const double ms =
         std::chrono::duration<double, std::milli>(now - it->second).count();
-    ++tracker.drained;
-    tracker.drain_ms_total += ms;
     tracker.drain_ms_max = std::max(tracker.drain_ms_max, ms);
-    if (tracker.drain_us != nullptr) {
-      tracker.drain_us->Observe(static_cast<uint64_t>(ms * 1000.0));
-    }
+    tracker.drain_us->Observe(static_cast<uint64_t>(ms * 1000.0));
     tracker.retired_at.erase(it);
     if (tracker.events != nullptr) {
       char msg[96];
@@ -178,18 +254,15 @@ static_assert(
     std::is_same_v<decltype(&BoundOntology::NodeDownSet),
                    const OidSet& (BoundOntology::*)(NodeId) const>);
 
-/// Sums the rank-join operators' own counters over the compiled plan tree
-/// (leaves report through the merged stream stats instead).
-void SumJoinOperatorStats(const PlanNode* node, uint64_t* rows,
-                          uint64_t* max_live) {
+/// Sums the rows the rank-join operators released over the compiled plan
+/// tree (their live-peaks reach the merged stream stats' max_join_live).
+void SumJoinRows(const PlanNode* node, uint64_t* rows) {
   if (node == nullptr || node->is_leaf()) return;
   if (node->stream != nullptr) {
-    const EvaluatorStats op = node->stream->OperatorStats();
-    *rows += op.answers_emitted;
-    *max_live = std::max(*max_live, op.max_join_live);
+    *rows += node->stream->OperatorStats().answers_emitted;
   }
-  SumJoinOperatorStats(node->left.get(), rows, max_live);
-  SumJoinOperatorStats(node->right.get(), rows, max_live);
+  SumJoinRows(node->left.get(), rows);
+  SumJoinRows(node->right.get(), rows);
 }
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -221,8 +294,7 @@ bool QueryTicket::done() const {
 
 // --- QueryService ------------------------------------------------------------
 
-QueryService::QueryService(const GraphStore* graph, const Ontology* ontology,
-                           std::shared_ptr<const Dataset> dataset,
+QueryService::QueryService(std::shared_ptr<const Dataset> dataset,
                            QueryServiceOptions options)
     : options_(std::move(options)) {
   if (options_.num_workers == 0) {
@@ -230,19 +302,22 @@ QueryService::QueryService(const GraphStore* graph, const Ontology* ontology,
         std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   options_.max_queue = std::max<size_t>(options_.max_queue, 1);
-  if (options_.enable_metrics) {
-    registry_ = options_.metrics != nullptr ? options_.metrics
-                                            : MetricsRegistry::Global();
-    metrics_ = std::make_unique<const ServiceMetrics>(registry_);
-    metrics_->workers->Set(static_cast<int64_t>(options_.num_workers));
-  }
+  // An injected registry is held without ownership (its owner outlives us).
+  registry_ = options_.metrics != nullptr
+                  ? std::shared_ptr<MetricsRegistry>(std::shared_ptr<void>(),
+                                                     options_.metrics)
+                  : std::make_shared<MetricsRegistry>();
+  metrics_ = std::make_unique<const ServiceMetrics>(registry_.get());
+  metrics_->workers->Set(static_cast<int64_t>(options_.num_workers));
   events_ =
       options_.events != nullptr ? options_.events : EventLog::Global();
   drain_tracker_ = std::make_shared<EpochDrainTracker>();
-  drain_tracker_->drain_us =
-      metrics_ != nullptr ? metrics_->epoch_drain_us : nullptr;
+  drain_tracker_->registry = registry_;
+  drain_tracker_->drain_us = metrics_->epoch_drain_us;
   drain_tracker_->events = events_;
-  epoch_ = MakeEpoch(/*id=*/0, std::move(dataset), graph, ontology);
+  lifetime_base_ = ReadLedger({}, {});
+  StartCacheGeneration();
+  epoch_ = MakeEpoch(/*id=*/0, std::move(dataset));
   running_.resize(options_.num_workers);
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
@@ -250,38 +325,19 @@ QueryService::QueryService(const GraphStore* graph, const Ontology* ontology,
   }
 }
 
-QueryService::QueryService(const GraphStore* graph, const Ontology* ontology,
-                           QueryServiceOptions options)
-    : QueryService(graph, ontology, /*dataset=*/nullptr,
-                   std::move(options)) {}
-
-QueryService::QueryService(std::shared_ptr<const Dataset> dataset,
-                           QueryServiceOptions options)
-    : QueryService(&dataset->graph(), dataset->ontology(), dataset,
-                   std::move(options)) {}
-
 std::shared_ptr<const DatasetEpoch> QueryService::MakeEpoch(
-    uint64_t id, std::shared_ptr<const Dataset> dataset,
-    const GraphStore* graph, const Ontology* ontology) const {
+    uint64_t id, std::shared_ptr<const Dataset> dataset) const {
   std::unique_ptr<ResultCache> cache;
   if (options_.cache_entries > 0) {
-    ResultCacheExternalCounters external;
-    if (metrics_ != nullptr) {
-      // Registry cache counters are monotonic across epochs and cache
-      // generations (Prometheus semantics); the cache's own counters stay
-      // per-generation for ServiceStats hit rates.
-      external.hits = metrics_->cache_hits;
-      external.misses = metrics_->cache_misses;
-      external.insertions = metrics_->cache_insertions;
-      external.evictions = metrics_->cache_evictions;
-    }
-    cache = std::make_unique<ResultCache>(options_.cache_entries,
-                                          options_.cache_shards, external);
+    // Every epoch's cache counts into the same registry counters, which
+    // run on across epochs and cache generations (Prometheus semantics).
+    cache = std::make_unique<ResultCache>(
+        options_.cache_entries, options_.cache_shards, metrics_->cache);
   }
   // QueryEngine's constructor binds the ontology against the graph
   // (BoundOntology precompute) — per epoch, not per query.
-  auto epoch = std::make_unique<DatasetEpoch>(id, std::move(dataset), graph,
-                                              ontology, std::move(cache));
+  auto epoch =
+      std::make_unique<DatasetEpoch>(id, std::move(dataset), std::move(cache));
   // Custom deleter so the last pin drop on a retired epoch records the
   // drain. The tracker is captured by shared_ptr because a ticket (and
   // therefore the epoch it pins) may legitimately outlive the service.
@@ -304,15 +360,16 @@ Status QueryService::SwapDataset(std::shared_ptr<const Dataset> dataset) {
   if (dataset == nullptr) {
     return Status::InvalidArgument("SwapDataset requires a dataset");
   }
-  const GraphStore* graph = &dataset->graph();
-  const Ontology* ontology = dataset->ontology();
   const Timer swap_timer;
   std::shared_ptr<const DatasetEpoch> retired;
   {
     WriterMutexLock lock(epoch_mu_);
     // Building the epoch outside the lock would allow two concurrent swaps
     // to publish the same id; binds are cheap relative to swap frequency.
-    auto next = MakeEpoch(epoch_->id + 1, std::move(dataset), graph, ontology);
+    auto next = MakeEpoch(epoch_->id + 1, std::move(dataset));
+    // The cache generation starts as the new cache is published: nothing
+    // can reach that cache before the baseline is taken.
+    StartCacheGeneration();
     retired = std::move(epoch_);
     epoch_ = std::move(next);
   }
@@ -320,10 +377,12 @@ Status QueryService::SwapDataset(std::shared_ptr<const Dataset> dataset) {
   const uint64_t retired_id = retired->id;
   // Record the retirement *before* dropping our reference: if no query has
   // the old epoch pinned, reset() runs the drain deleter immediately and it
-  // must find the retire timestamp already in place.
+  // must find the retire timestamp already in place. The swap is counted
+  // under the same lock, so stats() never sees a drain before its swap.
   {
     MutexLock lock(drain_tracker_->mu);
-    ++drain_tracker_->retired;
+    metrics_->swaps->Increment();
+    metrics_->swap_us->Observe(static_cast<uint64_t>(swap_ms * 1000.0));
     drain_tracker_->retired_at.emplace_back(retired->id,
                                             std::chrono::steady_clock::now());
   }
@@ -331,11 +390,6 @@ Status QueryService::SwapDataset(std::shared_ptr<const Dataset> dataset) {
   // tickets that pinned it and dies with the last of them; dropping our
   // reference here is what makes the swap an invalidation.
   retired.reset();
-  ResetCacheGenerationStats();
-  if (metrics_ != nullptr) {
-    metrics_->swaps->Increment();
-    metrics_->swap_us->Observe(static_cast<uint64_t>(swap_ms * 1000.0));
-  }
   {
     char msg[112];
     std::snprintf(msg, sizeof(msg),
@@ -343,11 +397,6 @@ Status QueryService::SwapDataset(std::shared_ptr<const Dataset> dataset) {
                   static_cast<unsigned long long>(retired_id),
                   static_cast<unsigned long long>(retired_id + 1), swap_ms);
     events_->Record(EventSeverity::kInfo, "service", msg);
-  }
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.dataset_swaps;
-    stats_.swap_ms_total += swap_ms;
   }
   return Status::OK();
 }
@@ -371,7 +420,7 @@ QueryService::~QueryService() {
   // The queue was drained into `leftovers` above; don't leave a stale
   // non-zero depth behind in a shared registry. (in_flight needs no reset:
   // it is delta-based and every worker balanced its Add(1) before joining.)
-  if (metrics_ != nullptr) metrics_->queue_depth->Set(0);
+  metrics_->queue_depth->Set(0);
   for (const std::shared_ptr<QueryTicket>& ticket : leftovers) {
     QueryResponse response;
     response.status = Status::Cancelled("query service is shutting down");
@@ -431,11 +480,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
       trace->Annotate(lookup, "hit", entry != nullptr ? 1 : 0);
     }
     if (entry != nullptr) {
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.submitted;
-      }
-      if (metrics_ != nullptr) metrics_->submitted->Increment();
+      metrics_->submitted->Increment();
       ServeHit(ticket, *entry, /*queue_ms=*/0);
       return ticket;
     }
@@ -452,21 +497,17 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
       // Queued requests that are already cancelled or past their deadline
       // hold admission slots they will never use; release them before
       // deciding to reject. Completion runs after mu_ is dropped —
-      // Complete takes the ticket and stats locks, which must stay leaf
-      // locks.
+      // Complete takes the ticket lock, which must stay a leaf lock.
       purged = PurgeDeadLocked();
     }
     if (queue_.size() < options_.max_queue) {
       queue_.push_back(ticket);
       admitted = true;
-      // Counted while still holding mu_, so a stats() snapshot can never
-      // observe a completion of this query before its submission.
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.submitted;
+      // Counted while still holding mu_, before any worker can pop the
+      // ticket: the admission happens-before the completion (see stats()).
+      metrics_->submitted->Increment();
     }
-    if (metrics_ != nullptr) {
-      metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
-    }
+    metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
   }
   for (const std::shared_ptr<QueryTicket>& p : purged) {
     QueryResponse response;
@@ -479,11 +520,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
     Complete(p, std::move(response));
   }
   if (!admitted) {
-    if (metrics_ != nullptr) metrics_->rejected->Increment();
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.rejected;
-    }
+    metrics_->rejected->Increment();
     events_->Record(EventSeverity::kWarn, "service",
                     "admission rejected: queue full (max_queue=" +
                         std::to_string(options_.max_queue) + ")");
@@ -491,7 +528,6 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(
         "admission queue is full (max_queue=" +
         std::to_string(options_.max_queue) + ")");
   }
-  if (metrics_ != nullptr) metrics_->submitted->Increment();
   work_cv_.NotifyOne();
   return ticket;
 }
@@ -510,34 +546,94 @@ QueryResponse QueryService::Execute(QueryRequest request) {
 
 void QueryService::InvalidateCache() {
   // See the header comment for the intended semantics: entries are dropped
-  // AND the cache-accounting generation restarts, both on the cache's own
-  // counters and on the per-class aggregates — a hit rate that mixes
-  // generations would overstate a cache that no longer holds anything.
+  // AND the cache-accounting generation restarts — a hit rate that mixes
+  // generations would overstate a cache that no longer holds anything. The
+  // Clear()-time evictions belong to the old generation.
   const std::shared_ptr<const DatasetEpoch> epoch = CurrentEpoch();
-  if (epoch->cache != nullptr) {
-    epoch->cache->Clear();
-    epoch->cache->ResetCounters();
-  }
-  ResetCacheGenerationStats();
+  if (epoch->cache != nullptr) epoch->cache->Clear();
+  StartCacheGeneration();
 }
 
-void QueryService::ResetCacheGenerationStats() {
-  MutexLock lock(stats_mu_);
-  for (ClassAggregate& agg : stats_.per_class) {
-    agg.cache_hits = 0;
-    agg.cache_lookups = 0;
+void QueryService::StartCacheGeneration() {
+  MutexLock lock(generation_mu_);
+  generation_base_ = ReadLedger({}, {});
+}
+
+ServiceStats QueryService::ReadLedger(const ServiceStats& life,
+                                      const ServiceStats& gen) const {
+  const ServiceMetrics& m = *metrics_;
+  ServiceStats out;
+  // Completions first, admissions after. Counter increments are release
+  // and Value() an acquire (obs/metrics.h), and every request's admission
+  // is counted before its completion — on the submitting thread for a
+  // synchronous hit, under mu_ before a worker can pop it otherwise. So a
+  // completion this read sees happened-after its admission's increment,
+  // which the later read of `submitted` must then see: completions never
+  // exceed admissions in one read. For the same reason Complete() counts
+  // the completion last, and a hit after its lookup (read hits first).
+  for (size_t c = 0; c < kNumQueryClasses; ++c) {
+    const ServiceMetrics::PerClass& pm = m.per_class[c];
+    const ClassAggregate& base = life.per_class[c];
+    ClassAggregate& agg = out.per_class[c];
+    uint64_t queries = 0, ok = 0;
+    for (size_t s = 0; s < kNumStatuses; ++s) {
+      const uint64_t n = pm.completed[s]->Value();
+      out.*kStatuses[s].total += n;
+      queries += n;
+      if (s == 0) ok = n;
+    }
+    agg.queries = queries - base.queries;
+    agg.failures = queries - ok - base.failures;
+    agg.cache_hits = pm.cache_hits->Value() - gen.per_class[c].cache_hits;
+    agg.cache_lookups =
+        pm.cache_lookups->Value() - gen.per_class[c].cache_lookups;
+    agg.queue_ms = pm.queue_wait_us->Sum() / 1000.0 - base.queue_ms;
+    agg.executed = pm.exec_us->Count() - base.executed;
+    agg.exec_ms = pm.exec_us->Sum() / 1000.0 - base.exec_ms;
+    agg.join_rows = pm.join_rows->Value() - base.join_rows;
+    for (size_t i = 0; i < kNumEvalSums; ++i) {
+      const auto field = kEvalSums[i].field;
+      agg.eval.*field = pm.eval_sums[i]->Value() - base.eval.*field;
+    }
+    // A maximum cannot be rebased: report the registry's high-water, but
+    // none for a class that executed nothing since `life`.
+    for (size_t i = 0; agg.executed > 0 && i < kNumEvalPeaks; ++i) {
+      agg.eval.*kEvalPeaks[i].field =
+          static_cast<uint64_t>(pm.eval_peaks[i]->Value());
+    }
   }
+  for (const auto& status : kStatuses) out.*status.total -= life.*status.total;
+  out.submitted = m.submitted->Value() - life.submitted;
+  out.rejected = m.rejected->Value() - life.rejected;
+  out.cache.hits = m.cache.hits->Value() - gen.cache.hits;
+  out.cache.misses = m.cache.misses->Value() - gen.cache.misses;
+  out.cache.insertions = m.cache.insertions->Value() - gen.cache.insertions;
+  out.cache.evictions = m.cache.evictions->Value() - gen.cache.evictions;
+  out.swap_ms_total = m.swap_us->Sum() / 1000.0 - life.swap_ms_total;
+  {
+    // Under the lock swaps and drains are counted under: a retired epoch
+    // drains only after its swap was counted.
+    MutexLock lock(drain_tracker_->mu);
+    out.epochs_drained = m.epoch_drain_us->Count() - life.epochs_drained;
+    out.drain_ms_total =
+        m.epoch_drain_us->Sum() / 1000.0 - life.drain_ms_total;
+    out.drain_ms_max = drain_tracker_->drain_ms_max;
+    // Each swap retires exactly one epoch.
+    out.dataset_swaps = m.swaps->Value() - life.dataset_swaps;
+    out.epochs_retired = out.dataset_swaps;
+  }
+  return out;
 }
 
 ServiceStats QueryService::stats() const {
-  ServiceStats out;
+  // The generation baseline is read before the ledger, so it can never be
+  // newer than the values it is subtracted from.
+  ServiceStats generation_base;
   {
-    MutexLock lock(stats_mu_);
-    out = stats_;
+    MutexLock lock(generation_mu_);
+    generation_base = generation_base_;
   }
-  // Sampled gauges come from mu_, taken *after* stats_mu_ is released —
-  // mu_ is ordered before stats_mu_ when both are held (see the header),
-  // so nesting them the other way here would invert the lock order.
+  ServiceStats out = ReadLedger(lifetime_base_, generation_base);
   {
     MutexLock lock(mu_);
     out.queue_depth = queue_.size();
@@ -545,16 +641,9 @@ ServiceStats QueryService::stats() const {
       if (t != nullptr) ++out.in_flight;
     }
   }
-  {
-    MutexLock lock(drain_tracker_->mu);
-    out.epochs_retired = drain_tracker_->retired;
-    out.epochs_drained = drain_tracker_->drained;
-    out.drain_ms_total = drain_tracker_->drain_ms_total;
-    out.drain_ms_max = drain_tracker_->drain_ms_max;
-  }
   const std::shared_ptr<const DatasetEpoch> epoch = CurrentEpoch();
   out.dataset_epoch = epoch->id;
-  if (epoch->cache != nullptr) out.cache = epoch->cache->stats();
+  if (epoch->cache != nullptr) out.cache.entries = epoch->cache->entries();
   return out;
 }
 
@@ -598,13 +687,11 @@ void QueryService::WorkerLoop(size_t worker_index) {
       ticket = std::move(queue_.front());
       queue_.pop_front();
       running_[worker_index] = ticket;
-      if (metrics_ != nullptr) {
-        metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
-      }
+      metrics_->queue_depth->Set(static_cast<int64_t>(queue_.size()));
     }
-    if (metrics_ != nullptr) metrics_->in_flight->Add(1);
+    metrics_->in_flight->Add(1);
     RunTask(ticket);
-    if (metrics_ != nullptr) metrics_->in_flight->Add(-1);
+    metrics_->in_flight->Add(-1);
     {
       MutexLock lock(mu_);
       running_[worker_index] = nullptr;
@@ -620,10 +707,9 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
   response.epoch = epoch.id;
   response.queue_ms = MsSince(ticket->enqueued_at_);
   TraceRecorder* const trace = ticket->request_.trace;
-  if (metrics_ != nullptr) {
-    metrics_->queue_wait_us->Observe(
-        static_cast<uint64_t>(response.queue_ms * 1000.0));
-  }
+  const ServiceMetrics::PerClass& m =
+      metrics_->per_class[static_cast<size_t>(ticket->query_class_)];
+  m.queue_wait_us->Observe(static_cast<uint64_t>(response.queue_ms * 1000.0));
   if (trace != nullptr) {
     // The wait started at Submit(), before this worker had the recorder, so
     // the span is back-dated from the measured duration.
@@ -702,8 +788,7 @@ void QueryService::RunTask(const std::shared_ptr<QueryTicket>& ticket) {
   ExecutionStats exec;
   exec.eval = (*stream)->stats();
   if ((*stream)->plan() != nullptr) {
-    SumJoinOperatorStats((*stream)->plan()->root.get(), &exec.join_rows,
-                         &exec.max_join_live);
+    SumJoinRows((*stream)->plan()->root.get(), &exec.join_rows);
   }
   if (trace != nullptr) {
     trace->Annotate(exec_span, "ok", response.status.ok() ? 1 : 0);
@@ -771,59 +856,25 @@ void QueryService::Complete(const std::shared_ptr<QueryTicket>& ticket,
                     std::string(StatusCodeToString(response.status.code())) +
                         ": " + response.status.message());
   }
-  if (metrics_ != nullptr) {
-    switch (response.status.code()) {
-      case StatusCode::kOk:
-        metrics_->completed_ok->Increment();
-        break;
-      case StatusCode::kCancelled:
-        metrics_->completed_cancelled->Increment();
-        break;
-      case StatusCode::kDeadlineExceeded:
-        metrics_->completed_deadline->Increment();
-        break;
-      default:
-        metrics_->completed_error->Increment();
-        break;
+  const ServiceMetrics::PerClass& m =
+      metrics_->per_class[static_cast<size_t>(ticket->query_class_)];
+  if (ticket->used_cache_) m.cache_lookups->Increment();
+  if (response.cache_hit) m.cache_hits->Increment();
+  // exec is non-null exactly when the request reached the engine; a
+  // queued-dead completion counts toward neither hits nor exec time.
+  if (exec != nullptr) {
+    m.exec_us->Observe(static_cast<uint64_t>(response.exec_ms * 1000.0));
+    m.join_rows->Increment(exec->join_rows);
+    for (size_t i = 0; i < kNumEvalSums; ++i) {
+      m.eval_sums[i]->Increment(exec->eval.*kEvalSums[i].field);
     }
-    if (exec != nullptr) {
-      metrics_->exec_us[static_cast<size_t>(ticket->query_class_)]->Observe(
-          static_cast<uint64_t>(response.exec_ms * 1000.0));
+    for (size_t i = 0; i < kNumEvalPeaks; ++i) {
+      m.eval_peaks[i]->UpdateMax(
+          static_cast<int64_t>(exec->eval.*kEvalPeaks[i].field));
     }
   }
-  {
-    MutexLock lock(stats_mu_);
-    switch (response.status.code()) {
-      case StatusCode::kOk:
-        ++stats_.completed;
-        break;
-      case StatusCode::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case StatusCode::kDeadlineExceeded:
-        ++stats_.deadline_exceeded;
-        break;
-      default:
-        ++stats_.failed;
-        break;
-    }
-    ClassAggregate& agg =
-        stats_.per_class[static_cast<size_t>(ticket->query_class_)];
-    ++agg.queries;
-    agg.queue_ms += response.queue_ms;
-    if (ticket->used_cache_) ++agg.cache_lookups;
-    if (response.cache_hit) ++agg.cache_hits;
-    if (!response.status.ok()) ++agg.failures;
-    // exec is non-null exactly when the request reached the engine; a
-    // queued-dead completion counts toward neither hits nor exec time.
-    if (exec != nullptr) {
-      ++agg.executed;
-      agg.exec_ms += response.exec_ms;
-      agg.eval.MergeFrom(exec->eval);
-      agg.join_rows += exec->join_rows;
-      agg.max_join_live = std::max(agg.max_join_live, exec->max_join_live);
-    }
-  }
+  // Last: its release publishes the increments above (see ReadLedger).
+  m.completed[StatusIndex(response.status.code())]->Increment();
   {
     MutexLock lock(ticket->mu_);
     ticket->response_ = std::move(response);

@@ -8,8 +8,13 @@
 // construction (the frozen-store contract in store/graph_store.h and
 // ontology/ontology.h) and every per-query structure — automata, tuple
 // dictionaries, join tables, the result stream — is built per request, so
-// worker threads share only const data plus the internally-locked cache,
-// queue and stats.
+// worker threads share only const data plus the internally-locked cache and
+// queue, and the lock-free registry instruments.
+//
+// Accounting: each serving event is one increment on one registry
+// instrument, and stats() is a view over them: instrument values minus a
+// baseline taken at construction, or, for cache-generation values, at the
+// last SwapDataset()/InvalidateCache().
 //
 // Dataset hot-swap: the frozen substrate lives in a *serving epoch* — a
 // DatasetEpoch bundling the dataset, the engine bound to it, and a result
@@ -45,11 +50,9 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "eval/query_engine.h"
-#include "ontology/ontology.h"
 #include "service/result_cache.h"
 #include "service/service_stats.h"
 #include "snapshot/dataset.h"
-#include "store/graph_store.h"
 
 namespace omega {
 
@@ -62,8 +65,7 @@ struct EpochDrainTracker;   // query_service.cc: epoch retire/drain timing
 /// bound to it (ontology binding happens here, once per swap, not per
 /// query), and the epoch's own result cache. Published as
 /// shared_ptr<const DatasetEpoch>; tickets pin it from admission to
-/// completion. `dataset` is null for the epoch the service constructor
-/// borrows from caller-owned graph/ontology pointers.
+/// completion.
 ///
 /// Concurrency: immutable after construction except `cache`, which is
 /// internally locked (ResultCache's per-shard mutexes) — which is why the
@@ -71,15 +73,12 @@ struct EpochDrainTracker;   // query_service.cc: epoch retire/drain timing
 /// const object.
 struct DatasetEpoch {
   DatasetEpoch(uint64_t id_in, std::shared_ptr<const Dataset> dataset_in,
-               const GraphStore* graph, const Ontology* ontology,
                std::unique_ptr<ResultCache> cache_in)
       : id(id_in),
         dataset(std::move(dataset_in)),
         // The dataset's IndexManager (snapshot-preloaded or lazily built)
-        // feeds index substitution; a borrowed-pointer epoch 0 has no
-        // dataset and thus no index.
-        engine(graph, ontology,
-               dataset == nullptr ? nullptr : dataset->indexes()),
+        // feeds index substitution.
+        engine(&dataset->graph(), dataset->ontology(), dataset->indexes()),
         cache(std::move(cache_in)) {}
 
   uint64_t id;
@@ -114,18 +113,11 @@ struct QueryServiceOptions {
   /// on top per execution.
   QueryEngineOptions engine;
 
-  /// Registry the service exports its instruments into; nullptr selects the
-  /// process-global MetricsRegistry::Global(). Injectable so tests and the
-  /// bench_obs pair read an isolated registry. Must outlive the service and
+  /// Registry the service counts into, its only ledger of serving events;
+  /// nullptr gives it a private one, so two services never read each
+  /// other's counts. An injected registry must outlive the service and
   /// every epoch it published (epochs record drain durations as they die).
   MetricsRegistry* metrics = nullptr;
-
-  /// Master switch for the registry export (counters, gauges, histograms).
-  /// Off is the bench_obs `_MetricsOff` baseline: no instruments are
-  /// created and hot paths skip every registry touch. Per-query
-  /// TraceRecorders attached via QueryRequest::trace work either way, and
-  /// ServiceStats accounting is unaffected.
-  bool enable_metrics = true;
 
   /// Flight recorder (obs/flight_recorder.h) appended to at every
   /// completion: one mutex-guarded flat-struct append, plus trace-JSON
@@ -223,18 +215,11 @@ class QueryTicket {
 
 class QueryService {
  public:
-  /// `graph` must be finalized and, with `ontology` (nullable: RELAX then
-  /// fails per engine semantics), must outlive the service (or, more
-  /// precisely, outlive epoch 0: after a SwapDataset the initial pointers
-  /// are only needed until the last epoch-0 query drains and the epoch is
-  /// dropped). Both are treated as frozen: the service never mutates them
-  /// and caches results under that assumption.
-  QueryService(const GraphStore* graph, const Ontology* ontology,
-               QueryServiceOptions options = {});
-
-  /// Serves `dataset` (e.g. a mapped snapshot from SnapshotReader::Open)
-  /// as epoch 0, keeping it alive for as long as the service or any
-  /// in-flight query references it.
+  /// Serves `dataset` (e.g. a mapped snapshot from SnapshotReader::Open, or
+  /// an in-memory graph + ontology wrapped by Dataset::FromParts) as epoch
+  /// 0, keeping it alive for as long as the service or any in-flight query
+  /// references it. The dataset is frozen: the service never mutates it and
+  /// caches results under that assumption.
   QueryService(std::shared_ptr<const Dataset> dataset,
                QueryServiceOptions options = {});
 
@@ -252,7 +237,7 @@ class QueryService {
   /// served synchronously on the calling thread: the returned ticket is
   /// already done. Otherwise the ticket completes on a worker thread.
   Result<std::shared_ptr<QueryTicket>> Submit(QueryRequest request)
-      OMEGA_EXCLUDES(mu_, epoch_mu_, stats_mu_);
+      OMEGA_EXCLUDES(mu_, epoch_mu_);
 
   /// Blocking convenience: Submit + Wait, with rejections folded into the
   /// response's status.
@@ -262,25 +247,24 @@ class QueryService {
   /// (binding its ontology and starting a fresh, empty result cache) so
   /// that every admission from here on runs against it, while already
   /// admitted queries drain on the epoch they pinned. Also starts a new
-  /// cache-accounting generation (the per-class cache-hit counters reset —
-  /// see InvalidateCache). Thread-safe; callable at any time, including
-  /// under full query load.
+  /// cache-accounting generation (see InvalidateCache). Thread-safe;
+  /// callable at any time, including under full query load.
   Status SwapDataset(std::shared_ptr<const Dataset> dataset)
-      OMEGA_EXCLUDES(epoch_mu_, stats_mu_);
+      OMEGA_EXCLUDES(epoch_mu_, generation_mu_);
 
   /// Invalidation hook: drops every cached result of the current epoch and
   /// starts a fresh cache-accounting generation. Semantics: after this
   /// call (a) no response is served from a pre-invalidation cache fill —
   /// modulo requests already past their cache probe — and (b) the cache
   /// counters in stats() (ServiceStats::cache, per-class cache_hits /
-  /// cache_lookups) restart from zero, so hit rates describe only the
+  /// cache_lookups) count from here, so hit rates describe only the
   /// current generation instead of being diluted by a cache that no longer
   /// exists. Call it when cached answers should no longer be served;
   /// SwapDataset() supersedes it for dataset changes (the new epoch's
   /// cache is born empty).
-  void InvalidateCache() OMEGA_EXCLUDES(epoch_mu_, stats_mu_);
+  void InvalidateCache() OMEGA_EXCLUDES(epoch_mu_, generation_mu_);
 
-  ServiceStats stats() const OMEGA_EXCLUDES(stats_mu_, epoch_mu_, mu_);
+  ServiceStats stats() const OMEGA_EXCLUDES(generation_mu_, epoch_mu_, mu_);
 
   size_t num_workers() const { return workers_.size(); }
   size_t queue_depth() const OMEGA_EXCLUDES(mu_);
@@ -292,76 +276,67 @@ class QueryService {
   /// begun. The ops plane's /readyz readiness derives from this.
   bool accepting() const OMEGA_EXCLUDES(mu_);
 
-  /// The registry this service exports instruments into — the injected one
-  /// when QueryServiceOptions::metrics was supplied, else the process
-  /// global; null when enable_metrics is false. The shell's `.metrics` and
-  /// the ops plane resolve through this so an injected registry is the one
-  /// actually rendered.
-  MetricsRegistry* metrics_registry() const { return registry_; }
+  /// The registry this service counts into — the injected one when
+  /// QueryServiceOptions::metrics was supplied, else its private one; never
+  /// null. The shell's `.metrics` and the ops plane resolve through this so
+  /// the registry rendered is the one actually counted into.
+  MetricsRegistry* metrics_registry() const { return registry_.get(); }
   /// The attached flight recorder (null when disabled).
   FlightRecorder* flight_recorder() const;
   /// The journal lifecycle events go to (never null).
   EventLog* event_log() const { return events_; }
 
  private:
-  /// Per-execution counters folded into the per-class aggregates: the
-  /// result stream's merged EvaluatorStats plus the rank-join operators'
-  /// own OperatorStats gathered by walking the compiled plan.
+  /// Per-execution counters folded into the per-class instruments: the
+  /// result stream's merged EvaluatorStats plus the rows the rank-join
+  /// operators released, gathered by walking the compiled plan.
   struct ExecutionStats {
     EvaluatorStats eval;
     uint64_t join_rows = 0;
-    uint64_t max_join_live = 0;
   };
 
   void WorkerLoop(size_t worker_index) OMEGA_EXCLUDES(mu_);
   /// Executes (or short-circuits) one ticket and completes it.
   void RunTask(const std::shared_ptr<QueryTicket>& ticket)
-      OMEGA_EXCLUDES(mu_, stats_mu_);
+      OMEGA_EXCLUDES(mu_);
   /// Completes `ticket` from a cache entry (shared by the synchronous
   /// Submit fast path and the worker re-probe).
   void ServeHit(const std::shared_ptr<QueryTicket>& ticket,
-                const CachedResult& entry, double queue_ms)
-      OMEGA_EXCLUDES(stats_mu_);
+                const CachedResult& entry, double queue_ms);
   void Complete(const std::shared_ptr<QueryTicket>& ticket,
-                QueryResponse response, const ExecutionStats* exec = nullptr)
-      OMEGA_EXCLUDES(stats_mu_);
+                QueryResponse response, const ExecutionStats* exec = nullptr);
   /// Removes dead (cancelled or deadline-expired) tickets from the queue;
   /// returns them for completion outside the lock.
   std::vector<std::shared_ptr<QueryTicket>> PurgeDeadLocked()
       OMEGA_REQUIRES(mu_);
 
-  /// Shared constructor body: builds epoch 0 (owning `dataset` when
-  /// non-null, else borrowing the caller's pointers) and starts the pool.
-  QueryService(const GraphStore* graph, const Ontology* ontology,
-               std::shared_ptr<const Dataset> dataset,
-               QueryServiceOptions options);
-
   /// The epoch new admissions pin right now (one shared-lock pointer copy:
   /// admissions on many threads read concurrently, only SwapDataset writes).
   std::shared_ptr<const DatasetEpoch> CurrentEpoch() const
       OMEGA_EXCLUDES(epoch_mu_);
-  /// Builds an epoch (engine bind + fresh cache) around the given substrate.
+  /// Builds an epoch (engine bind + fresh cache) around `dataset`.
   std::shared_ptr<const DatasetEpoch> MakeEpoch(
-      uint64_t id, std::shared_ptr<const Dataset> dataset,
-      const GraphStore* graph, const Ontology* ontology) const;
-  /// Zeroes the cache-generation counters (per-class hits/lookups).
-  void ResetCacheGenerationStats() OMEGA_EXCLUDES(stats_mu_);
+      uint64_t id, std::shared_ptr<const Dataset> dataset) const;
+  /// The instruments in ServiceStats shape, counted since baselines `life`
+  /// and, for cache-generation fields, `gen` (empty ones read raw values).
+  /// The sampled fields (queue depth, in flight, epoch, entries) stay zero.
+  ServiceStats ReadLedger(const ServiceStats& life,
+                          const ServiceStats& gen) const;
+  /// Snapshots the cache-generation baseline (SwapDataset, InvalidateCache).
+  void StartCacheGeneration() OMEGA_EXCLUDES(generation_mu_);
 
   /// Immutable after construction (clamped worker/queue bounds, engine
   /// config): read by every worker without synchronisation.
   QueryServiceOptions options_;
 
-  /// Cached registry instrument pointers (counters/gauges/histograms for
-  /// admission, completion, latency, cache and swap events), resolved once
-  /// at construction so hot paths never touch the registry map. Null when
-  /// options_.enable_metrics is false; immutable after construction, and
-  /// every instrument cell is internally relaxed-atomic.
+  /// Cached registry instrument pointers, resolved once at construction so
+  /// hot paths never touch the registry map; the drain tracker co-owns the
+  /// registry (an injected one is held without ownership), since a retired
+  /// epoch can drain after the service is gone. All written at
+  /// construction, immutable afterwards; events_ is never null.
+  std::shared_ptr<MetricsRegistry> registry_;
   struct ServiceMetrics;
   std::unique_ptr<const ServiceMetrics> metrics_;
-
-  /// Resolved observability surfaces (see the accessors above): written at
-  /// construction, immutable afterwards. events_ is never null.
-  MetricsRegistry* registry_ = nullptr;
   EventLog* events_ = nullptr;
 
   /// Epoch retire/drain bookkeeping, shared with every published epoch's
@@ -370,10 +345,11 @@ class QueryService {
   /// this service is destroyed. Internally locked (see the definition).
   std::shared_ptr<EpochDrainTracker> drain_tracker_;
 
-  /// Guards the epoch pointer only — a leaf lock by construction: taken for
-  /// one shared_ptr copy (shared) or one pointer swap (exclusive), never
-  /// while holding, or before acquiring, mu_ or stats_mu_. Reader/writer
-  /// because admissions outnumber swaps by orders of magnitude.
+  /// Guards the epoch pointer only: taken for one shared_ptr copy (shared)
+  /// or one pointer swap (exclusive), never while holding another lock.
+  /// The swap also takes the cache-generation baseline under it
+  /// (generation_mu_, then the drain tracker's lock). Reader/writer because
+  /// admissions outnumber swaps by orders of magnitude.
   mutable SharedMutex epoch_mu_;
   std::shared_ptr<const DatasetEpoch> epoch_ OMEGA_GUARDED_BY(epoch_mu_);
 
@@ -386,13 +362,14 @@ class QueryService {
   std::vector<std::shared_ptr<QueryTicket>> running_ OMEGA_GUARDED_BY(mu_);
   bool stopping_ OMEGA_GUARDED_BY(mu_) = false;
 
-  /// Guards the serving aggregates. Lock order: mu_ may be held when
-  /// acquiring stats_mu_ (Submit counts admissions inside the queue
-  /// critical section so a stats() snapshot can never see a completion
-  /// before its submission); stats_mu_ is otherwise a leaf and is never
-  /// held while acquiring any other lock.
-  mutable Mutex stats_mu_ OMEGA_ACQUIRED_AFTER(mu_);
-  ServiceStats stats_ OMEGA_GUARDED_BY(stats_mu_);
+  /// The lifetime baseline: written in the constructor before any worker
+  /// starts, immutable afterwards.
+  ServiceStats lifetime_base_;
+
+  /// Guards the cache-generation baseline; never taken on a request's
+  /// path. Held while ReadLedger() takes the drain tracker's lock.
+  mutable Mutex generation_mu_ OMEGA_ACQUIRED_AFTER(epoch_mu_);
+  ServiceStats generation_base_ OMEGA_GUARDED_BY(generation_mu_);
 
   /// Joined in the destructor; written only at construction.
   std::vector<std::thread> workers_;

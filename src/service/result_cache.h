@@ -13,7 +13,7 @@
 //
 // Thread-safety: every method is safe to call concurrently; each shard has
 // its own capability-annotated mutex guarding its LRU list + index, and the
-// counters are documented relaxed atomics (common/atomics.h).
+// counters are registry instruments, lock-free by construction.
 #ifndef OMEGA_SERVICE_RESULT_CACHE_H_
 #define OMEGA_SERVICE_RESULT_CACHE_H_
 
@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/atomics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "eval/query_engine.h"
@@ -44,21 +43,11 @@ struct CachedResult {
   bool exhausted = false;
 };
 
-/// Counter snapshot; `entries` is the current resident entry count.
-struct ResultCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  size_t entries = 0;
-};
-
-/// Optional registry export for a ResultCache: process-lifetime counters
-/// (obs/metrics.h) bumped alongside the cache's own generation counters.
-/// Registry counters are monotonic and survive ResetCounters() — Prometheus
-/// semantics — while the internal counters restart per accounting
-/// generation. Null members are skipped.
-struct ResultCacheExternalCounters {
+/// Where a ResultCache counts its events: registry instruments
+/// (obs/metrics.h) owned by the caller, which must outlive the cache. All
+/// four are required. QueryService hands every epoch's cache the same four,
+/// so the counts run on across epochs and invalidations.
+struct ResultCacheCounters {
   Counter* hits = nullptr;
   Counter* misses = nullptr;
   Counter* insertions = nullptr;
@@ -69,9 +58,9 @@ class ResultCache {
  public:
   /// `capacity` bounds resident entries across all shards (>= 1 enforced);
   /// `num_shards` spreads lock contention (clamped to [1, capacity]).
-  /// `external` mirrors the counters into a metrics registry (see above).
+  /// Hits, misses, insertions and evictions are counted into `counters`.
   ResultCache(size_t capacity, size_t num_shards,
-              ResultCacheExternalCounters external = {});
+              ResultCacheCounters counters);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -91,12 +80,8 @@ class ResultCache {
   /// layers call this when the dataset behind the cached results is swapped.
   void Clear();
 
-  /// Starts a fresh accounting generation: zeroes hits/misses/insertions/
-  /// evictions (resident entries are untouched). QueryService pairs this
-  /// with Clear() so hit rates always describe the current generation.
-  void ResetCounters();
-
-  ResultCacheStats stats() const;
+  /// Resident entries across all shards.
+  size_t entries() const;
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -117,18 +102,8 @@ class ResultCache {
   size_t per_shard_capacity_;  ///< immutable after construction
   std::vector<std::unique_ptr<Shard>> shards_;  ///< vector itself immutable
   /// Immutable after construction; the pointed-to instruments are
-  /// registry-owned relaxed-atomic cells, safe to bump from any shard.
-  ResultCacheExternalCounters external_;
-
-  // Deliberately lock-free (no capability): monotonic accounting counters
-  // bumped on hot paths from any shard. Readers (stats()) accept any
-  // interleaving — a snapshot may e.g. count an insertion whose entry is
-  // not yet resident — so relaxed ordering is sufficient and a shared
-  // counter mutex would serialise all shards on every lookup.
-  RelaxedAtomic<uint64_t> hits_;
-  RelaxedAtomic<uint64_t> misses_;
-  RelaxedAtomic<uint64_t> insertions_;
-  RelaxedAtomic<uint64_t> evictions_;
+  /// lock-free cells, safe to bump from any shard.
+  ResultCacheCounters counters_;
 };
 
 }  // namespace omega

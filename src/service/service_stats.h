@@ -4,11 +4,8 @@
 // what the concurrent shell driver's `.stats` prints and what bench_service
 // reports alongside throughput.
 //
-// Concurrency: these are plain value types with no interior locking. The
-// live instance inside QueryService is guarded as a whole — it is declared
-// OMEGA_GUARDED_BY(stats_mu_) there, so every accumulation into a
-// ClassAggregate is lock-checked at compile time — and what stats() returns
-// is a private copy taken under that lock, safe to read freely.
+// Plain value types: the view QueryService::stats() computes from the
+// service's registry instruments (query_service.h), safe to read freely.
 #ifndef OMEGA_SERVICE_SERVICE_STATS_H_
 #define OMEGA_SERVICE_SERVICE_STATS_H_
 
@@ -17,7 +14,6 @@
 
 #include "eval/answer.h"
 #include "rpq/query.h"
-#include "service/result_cache.h"
 
 namespace omega {
 
@@ -36,27 +32,36 @@ const char* QueryClassToString(QueryClass c);
 /// Buckets `query` by the flexible-operator modes it uses.
 QueryClass ClassifyQuery(const Query& query);
 
+/// Result-cache counters; `entries` is the current resident entry count.
+struct ResultCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t insertions = 0;
+  uint64_t evictions = 0;
+  size_t entries = 0;
+};
+
 /// Per-class serving aggregate. `eval` merges the whole-stream counters of
-/// executed (cache-miss) queries; `join_rows` / `max_join_live` come from
-/// the per-operator OperatorStats of the compiled plan's rank joins.
+/// executed (cache-miss) queries, whose max_join_live is the largest
+/// rank-join tables + heap seen; `join_rows` sums the rows the compiled
+/// plan's rank-join operators released.
 struct ClassAggregate {
   uint64_t queries = 0;      ///< completed requests (hits + misses), any status
   /// Cache-generation counters: requests that consulted the result cache
-  /// and how many of them hit. Both reset when the cache generation turns
-  /// over — QueryService::InvalidateCache() and SwapDataset() — so the
-  /// hit rate always describes the cache that is actually serving (a rate
-  /// diluted by pre-invalidation lookups would be misleading).
+  /// and how many were served from it, counted since the last
+  /// QueryService::InvalidateCache() or SwapDataset() — so the hit rate
+  /// always describes the cache that is actually serving (a rate diluted by
+  /// pre-invalidation lookups would be misleading).
   uint64_t cache_hits = 0;
   uint64_t cache_lookups = 0;
   uint64_t executed = 0;     ///< requests that reached the engine (a
                              ///< queued-dead request is neither hit nor
                              ///< executed)
   uint64_t failures = 0;     ///< non-OK completions (deadline/cancel/budget/...)
-  double queue_ms = 0;       ///< total admission-queue wait
+  double queue_ms = 0;       ///< total admission-queue wait of dequeued requests
   double exec_ms = 0;        ///< total engine execution time (executed only)
   EvaluatorStats eval;       ///< merged stream stats of executed queries
   uint64_t join_rows = 0;    ///< rows released by rank-join operators
-  uint64_t max_join_live = 0;///< largest join tables+heap high-water seen
 
   /// Hit rate over cache lookups of the current cache generation (see the
   /// counter comment above; not over `queries`, which also counts
@@ -75,7 +80,11 @@ struct ClassAggregate {
   }
 };
 
-/// Snapshot returned by QueryService::stats().
+/// Snapshot returned by QueryService::stats(); counters count from the
+/// service's construction. The per-class `eval` high-waters are the
+/// registry's (a maximum cannot be rebased): on a registry an earlier
+/// service used, they can include its peaks. They read 0 until the class
+/// executes a query.
 struct ServiceStats {
   uint64_t submitted = 0;          ///< admitted submissions (incl. hits)
   uint64_t rejected = 0;           ///< admission-queue-full rejections
@@ -85,8 +94,8 @@ struct ServiceStats {
   uint64_t failed = 0;             ///< completions with any other error
   uint64_t dataset_epoch = 0;      ///< id of the serving epoch (0 = initial)
   uint64_t dataset_swaps = 0;      ///< SwapDataset() calls so far
-  /// Point-in-time gauges sampled when stats() is called (not accumulated
-  /// under stats_mu_ like the counters above): requests waiting in the
+  /// Point-in-time gauges sampled when stats() is called (not counted
+  /// since construction like the counters above): requests waiting in the
   /// admission queue and requests currently executing on workers.
   uint64_t queue_depth = 0;
   uint64_t in_flight = 0;
@@ -99,8 +108,8 @@ struct ServiceStats {
   uint64_t epochs_drained = 0;
   double drain_ms_total = 0;       ///< retire -> last-pin-drop, drained epochs
   double drain_ms_max = 0;
-  /// Counters of the *current* epoch's cache (each epoch gets a fresh
-  /// cache; InvalidateCache() also resets these within an epoch).
+  /// Counters of the current cache generation: since the last
+  /// SwapDataset() (a fresh, empty cache) or InvalidateCache().
   ResultCacheStats cache;
   ClassAggregate per_class[kNumQueryClasses];
 

@@ -2,11 +2,11 @@
 // annotation pass formalised (PR 6). Each test targets one site the
 // capability audit called out as load-bearing:
 //
-//  - ServiceStats accumulation: counters are guarded as a whole by
-//    stats_mu_, and admissions are counted inside the queue critical
-//    section, so a concurrent stats() snapshot must never observe a
-//    completion without its submission (completions > submitted would mean
-//    an unguarded accumulation path leaked out of the lock).
+//  - ServiceStats view: admissions are counted inside the queue critical
+//    section, completions are release increments, and stats() reads
+//    completions (acquire) before admissions, so a concurrent stats()
+//    snapshot must never observe a completion without its submission
+//    (completions > submitted would mean the ordering argument broke).
 //  - Epoch publication: the epoch pointer is a SharedMutex-guarded leaf —
 //    concurrent readers of dataset_epoch() must see monotonically
 //    non-decreasing ids while SwapDataset storms (a stale or torn pointer
@@ -42,30 +42,32 @@ QueryRequest Req(const std::string& text, size_t top_k = 0) {
   return request;
 }
 
-const GraphStore& SmallGraph() {
-  static const GraphStore* graph = new GraphStore(omega::testing::MakeGraph({
-      {"a1", "knows", "a2"},
-      {"a2", "knows", "a3"},
-      {"a3", "knows", "a1"},
-      {"a1", "likes", "a3"},
-      {"a2", "likes", "a1"},
-      {"b1", "knows", "b2"},
-  }));
-  return *graph;
+const std::shared_ptr<const Dataset>& SmallDataset() {
+  static const auto* dataset = new std::shared_ptr<const Dataset>(
+      Dataset::FromParts(omega::testing::MakeGraph({
+                             {"a1", "knows", "a2"},
+                             {"a2", "knows", "a3"},
+                             {"a3", "knows", "a1"},
+                             {"a1", "likes", "a3"},
+                             {"a2", "likes", "a1"},
+                             {"b1", "knows", "b2"},
+                         }),
+                         std::nullopt));
+  return *dataset;
 }
 
 // Clients hammer Submit while a poller thread snapshots stats()
 // concurrently. Every snapshot must satisfy the accounting invariant
 // (completions never exceed admissions, per-class totals never exceed the
-// global total); the final snapshot must balance exactly. The unguarded
-// variant of this bug — a counter bumped outside stats_mu_, or admissions
-// counted outside the queue critical section — produces transient
-// completions > submitted under this load.
+// global total); the final snapshot must balance exactly. The broken
+// variants of this contract — admissions counted outside the queue
+// critical section, or stats() reading admissions before completions —
+// produce transient completions > submitted under this load.
 TEST(ConcurrencyContractTest, StatsSnapshotsAreConsistentUnderLoad) {
   QueryServiceOptions options;
   options.num_workers = 4;
   options.max_queue = 1024;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
 
   constexpr size_t kClients = 4;
   constexpr size_t kPerClient = 60;

@@ -35,6 +35,7 @@
 namespace omega {
 namespace {
 
+using omega::testing::CompletedTotal;
 using omega::testing::Qy;
 
 GraphStore StressGraph(uint64_t seed) {
@@ -157,26 +158,14 @@ TEST(ObsStressTest, MetricsTracesAndSwapsUnderConcurrency) {
   EXPECT_GT(spans_seen.load(), traced_sends.load());
 
   // Reconciliation: the registry's monotonic totals equal what the clients
-  // actually did, and agree with the lock-guarded ServiceStats.
+  // actually did, and agree with the ServiceStats view over them.
   const ServiceStats stats = service.stats();
   const uint64_t total = kClients * kRequestsPerClient;
   EXPECT_EQ(registry.GetCounter("omega_service_submitted_total")->Value(),
             total);
   const uint64_t completed_total =
-      registry.GetCounter("omega_service_completed_total", "",
-                          "status=\"ok\"")
-          ->Value() +
-      registry
-          .GetCounter("omega_service_completed_total", "",
-                      "status=\"cancelled\"")
-          ->Value() +
-      registry
-          .GetCounter("omega_service_completed_total", "",
-                      "status=\"deadline\"")
-          ->Value() +
-      registry
-          .GetCounter("omega_service_completed_total", "", "status=\"error\"")
-          ->Value();
+      CompletedTotal(registry, "ok") + CompletedTotal(registry, "cancelled") +
+      CompletedTotal(registry, "deadline") + CompletedTotal(registry, "error");
   EXPECT_EQ(completed_total, total);
   EXPECT_EQ(stats.submitted, total);
   EXPECT_EQ(registry.GetCounter("omega_service_swaps_total")->Value(), kSwaps);

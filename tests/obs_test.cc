@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +33,7 @@
 namespace omega {
 namespace {
 
+using omega::testing::CompletedTotal;
 using omega::testing::MakeGraph;
 using omega::testing::Qy;
 
@@ -62,6 +65,43 @@ TEST(ObsMetricsTest, CounterGaugeHistogramBasics) {
   EXPECT_EQ(h->BucketCount(1), 0u);
   EXPECT_EQ(h->BucketCount(2), 1u);
   EXPECT_EQ(h->BucketCount(3), 1u);  // +Inf
+}
+
+// High-water gauges take concurrent UpdateMax calls from every worker: the
+// compare-exchange loop must keep the largest value any writer offered and
+// never move backwards.
+TEST(ObsMetricsTest, GaugeUpdateMaxHoldsUnderConcurrentWriters) {
+  Gauge gauge;
+  constexpr int64_t kWriters = 4;
+  constexpr int64_t kPerWriter = 20'000;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> regressions{0};
+  std::thread reader([&] {
+    int64_t last = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      const int64_t now = gauge.Value();
+      if (now < last) ++regressions;
+      last = now;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&gauge, w] {
+      // Interleaved ascending offers contend on every step; the descending
+      // tail must never lower the gauge.
+      for (int64_t i = 0; i < kPerWriter; ++i) {
+        gauge.UpdateMax(i * kWriters + w);
+      }
+      for (int64_t i = kPerWriter; i > 0; --i) gauge.UpdateMax(i);
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(gauge.Value(), kPerWriter * kWriters - 1);
+  EXPECT_EQ(regressions.load(), 0u);
+  gauge.UpdateMax(3);
+  EXPECT_EQ(gauge.Value(), kPerWriter * kWriters - 1);
 }
 
 TEST(ObsMetricsTest, RenderTextPrometheusFormat) {
@@ -206,14 +246,17 @@ TEST(ObsExplainAnalyzeTest, JoinNodesReportActualRowsToo) {
 
 // --- Service wiring ----------------------------------------------------------
 
-const GraphStore& ServiceGraph() {
-  static const GraphStore* graph = new GraphStore(MakeGraph({
-      {"a1", "knows", "a2"},
-      {"a2", "knows", "a3"},
-      {"a3", "knows", "a1"},
-      {"a1", "likes", "a3"},
-  }));
-  return *graph;
+const std::shared_ptr<const Dataset>& ServiceDataset() {
+  static const auto* dataset =
+      new std::shared_ptr<const Dataset>(Dataset::FromParts(
+          MakeGraph({
+              {"a1", "knows", "a2"},
+              {"a2", "knows", "a3"},
+              {"a3", "knows", "a1"},
+              {"a1", "likes", "a3"},
+          }),
+          std::nullopt));
+  return *dataset;
 }
 
 QueryRequest Req(const std::string& text, bool bypass_cache = false) {
@@ -229,7 +272,7 @@ TEST(ObsServiceTest, InjectedRegistryCountsSubmissionsAndCompletions) {
   QueryServiceOptions options;
   options.num_workers = 2;
   options.metrics = &registry;
-  QueryService service(&ServiceGraph(), nullptr, options);
+  QueryService service(ServiceDataset(), options);
 
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(
@@ -240,11 +283,7 @@ TEST(ObsServiceTest, InjectedRegistryCountsSubmissionsAndCompletions) {
           .status.ok());
 
   EXPECT_EQ(registry.GetCounter("omega_service_submitted_total")->Value(), 4u);
-  EXPECT_EQ(registry
-                .GetCounter("omega_service_completed_total", "",
-                            "status=\"ok\"")
-                ->Value(),
-            4u);
+  EXPECT_EQ(CompletedTotal(registry, "ok"), 4u);
   // Two repeats of the cached query hit; the first miss inserted.
   EXPECT_EQ(registry.GetCounter("omega_cache_hits_total")->Value(), 2u);
   EXPECT_GE(registry.GetCounter("omega_cache_misses_total")->Value(), 1u);
@@ -261,18 +300,23 @@ TEST(ObsServiceTest, InjectedRegistryCountsSubmissionsAndCompletions) {
             std::string::npos);
 }
 
-TEST(ObsServiceTest, EnableMetricsFalseCreatesNoInstruments) {
-  MetricsRegistry registry;
+TEST(ObsServiceTest, ServiceWithoutInjectedRegistryCountsPrivately) {
+  Counter* const global_submitted =
+      MetricsRegistry::Global()->GetCounter("omega_service_submitted_total");
+  const uint64_t global_before = global_submitted->Value();
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.metrics = &registry;
-  options.enable_metrics = false;
-  QueryService service(&ServiceGraph(), nullptr, options);
+  QueryService service(ServiceDataset(), options);
   EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
-  // The registry was never touched: nothing to render, and ServiceStats
-  // still works (it never depended on the registry).
-  EXPECT_EQ(registry.RenderText(), "");
+  // The service counted into a registry of its own, which stats() reads;
+  // the process-global registry never saw the request.
+  ASSERT_NE(service.metrics_registry(), MetricsRegistry::Global());
+  EXPECT_EQ(service.metrics_registry()
+                ->GetCounter("omega_service_submitted_total")
+                ->Value(),
+            1u);
   EXPECT_EQ(service.stats().submitted, 1u);
+  EXPECT_EQ(global_submitted->Value(), global_before);
 }
 
 // S1 regression: cache-generation resets must clear the per-class and
@@ -282,7 +326,7 @@ TEST(ObsServiceTest, CacheGenerationResetKeepsRegistryMonotonic) {
   QueryServiceOptions options;
   options.num_workers = 1;
   options.metrics = &registry;
-  QueryService service(&ServiceGraph(), nullptr, options);
+  QueryService service(ServiceDataset(), options);
 
   EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
   EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
@@ -348,8 +392,7 @@ TEST(ObsServiceTest, SwapAndDrainAccounting) {
 TEST(ObsServiceTest, PerQueryTraceCoversServiceAndEngine) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.enable_metrics = false;  // traces are independent of metrics
-  QueryService service(&ServiceGraph(), nullptr, options);
+  QueryService service(ServiceDataset(), options);
 
   TraceRecorder trace;
   QueryRequest request = Req("(?X) <- (?X, knows, ?Y)", /*bypass_cache=*/true);
@@ -407,7 +450,7 @@ TEST(ObsServiceTest, InjectedSurfacesResolveThroughAccessors) {
   options.metrics = &registry;
   options.flight_recorder = &recorder;
   options.events = &events;
-  QueryService service(&ServiceGraph(), nullptr, options);
+  QueryService service(ServiceDataset(), options);
 
   EXPECT_EQ(service.metrics_registry(), &registry);
   EXPECT_EQ(service.flight_recorder(), &recorder);
@@ -419,13 +462,13 @@ TEST(ObsServiceTest, InjectedSurfacesResolveThroughAccessors) {
   EXPECT_EQ(EffectiveMetricsRegistry(nullptr), MetricsRegistry::Global());
   EXPECT_EQ(EffectiveFlightRecorder(nullptr), nullptr);
 
-  // A service without injected surfaces resolves to the global registry
-  // and reports no flight recorder.
+  // A service without injected surfaces resolves to its own private
+  // registry and reports no flight recorder.
   QueryServiceOptions plain;
   plain.num_workers = 1;
-  plain.enable_metrics = false;
-  QueryService bare(&ServiceGraph(), nullptr, plain);
-  EXPECT_EQ(EffectiveMetricsRegistry(&bare), MetricsRegistry::Global());
+  QueryService bare(ServiceDataset(), plain);
+  EXPECT_EQ(EffectiveMetricsRegistry(&bare), bare.metrics_registry());
+  EXPECT_NE(EffectiveMetricsRegistry(&bare), MetricsRegistry::Global());
   EXPECT_EQ(EffectiveFlightRecorder(&bare), nullptr);
 }
 
@@ -433,9 +476,8 @@ TEST(ObsServiceTest, FlightRecorderCapturesEveryCompletion) {
   FlightRecorder recorder;
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.enable_metrics = false;
   options.flight_recorder = &recorder;
-  QueryService service(&ServiceGraph(), nullptr, options);
+  QueryService service(ServiceDataset(), options);
 
   EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
   EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
@@ -463,7 +505,6 @@ TEST(ObsServiceTest, SwapRecordsAnEventInTheInjectedJournal) {
   EventLog events;
   QueryServiceOptions options;
   options.num_workers = 1;
-  options.enable_metrics = false;
   options.events = &events;
   std::shared_ptr<const Dataset> initial = Dataset::FromParts(
       MakeGraph({{"a", "knows", "b"}}), std::nullopt);
@@ -480,6 +521,235 @@ TEST(ObsServiceTest, SwapRecordsAnEventInTheInjectedJournal) {
     }
   }
   EXPECT_TRUE(saw_swap);
+}
+
+// stats() is a view over the registry: after a mixed run (hits, misses,
+// bypasses, APPROX, a join, failing RELAX without an ontology) every field
+// equals the instruments' change since the service was constructed — on a
+// registry an earlier service already counted into.
+TEST(ObsServiceTest, StatsEqualRegistryDeltasAfterMixedRun) {
+  MetricsRegistry registry;
+  QueryServiceOptions options;
+  options.num_workers = 2;
+  options.metrics = &registry;
+  // Index probes would answer the exact conjuncts without evaluator
+  // counters; walk them so the eval instruments have work to count.
+  options.engine.use_reachability_index = false;
+  const std::vector<std::string> classes = {"EXACT", "APPROX", "RELAX",
+                                            "MIXED"};
+  const std::vector<std::string> per_class_counters = {
+      "omega_service_cache_lookups_total", "omega_service_cache_hits_total",
+      "omega_service_join_rows_total", "omega_eval_tuples_popped_total",
+      "omega_eval_tuples_pushed_total", "omega_eval_succ_expansions_total",
+      "omega_eval_neighbor_fetches_total", "omega_eval_answers_emitted_total",
+      "omega_eval_seeds_total", "omega_eval_rounds_total"};
+  const auto label = [](const std::string& cls) {
+    return "class=\"" + cls + "\"";
+  };
+  const auto run_mix = [](QueryService& service) {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+    }
+    EXPECT_TRUE(service
+                    .Execute(Req("(?X, ?Z) <- (?X, knows, ?Y), (?Y, likes, ?Z)",
+                                 /*bypass_cache=*/true))
+                    .status.ok());
+    EXPECT_TRUE(service
+                    .Execute(Req("(?X) <- APPROX (?X, knows.knows, ?Y)",
+                                 /*bypass_cache=*/true))
+                    .status.ok());
+    // No ontology: RELAX fails in the engine (an "error" completion).
+    EXPECT_FALSE(
+        service.Execute(Req("(?X) <- RELAX (?X, knows, ?Y)")).status.ok());
+  };
+  {
+    QueryService earlier(ServiceDataset(), options);
+    run_mix(earlier);
+  }
+  std::map<std::string, uint64_t> before;
+  const auto counter = [&](const std::string& name,
+                           const std::string& labels = "") {
+    return registry.GetCounter(name, "", labels)->Value();
+  };
+  const auto histogram = [&](const std::string& name,
+                             const std::string& labels) {
+    return registry.GetHistogram(name, "", labels);
+  };
+  const auto snapshot = [&] {
+    std::map<std::string, uint64_t> values;
+    for (const char* name :
+         {"omega_service_submitted_total", "omega_service_rejected_total",
+          "omega_cache_hits_total", "omega_cache_misses_total",
+          "omega_cache_insertions_total", "omega_cache_evictions_total"}) {
+      values[name] = counter(name);
+    }
+    for (const std::string& cls : classes) {
+      for (const char* status : {"ok", "cancelled", "deadline", "error"}) {
+        values["completed " + cls + status] =
+            counter("omega_service_completed_total",
+                    label(cls) + ",status=\"" + status + "\"");
+      }
+      for (const std::string& name : per_class_counters) {
+        values[name + cls] = counter(name, label(cls));
+      }
+      values["exec count " + cls] =
+          histogram("omega_service_exec_us", label(cls))->Count();
+      values["exec sum " + cls] =
+          histogram("omega_service_exec_us", label(cls))->Sum();
+      values["queue sum " + cls] =
+          histogram("omega_service_queue_wait_us", label(cls))->Sum();
+    }
+    return values;
+  };
+
+  QueryService service(ServiceDataset(), options);
+  before = snapshot();
+  EXPECT_GT(before["omega_service_submitted_total"], 0u);
+  run_mix(service);
+  std::map<std::string, uint64_t> after = snapshot();
+  const auto delta = [&](const std::string& key) {
+    return after.at(key) - before.at(key);
+  };
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, delta("omega_service_submitted_total"));
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.rejected, delta("omega_service_rejected_total"));
+  EXPECT_EQ(stats.cache.hits, delta("omega_cache_hits_total"));
+  EXPECT_EQ(stats.cache.misses, delta("omega_cache_misses_total"));
+  EXPECT_EQ(stats.cache.insertions, delta("omega_cache_insertions_total"));
+  EXPECT_EQ(stats.cache.evictions, delta("omega_cache_evictions_total"));
+  uint64_t ok = 0, error = 0;
+  for (size_t c = 0; c < classes.size(); ++c) {
+    const std::string& cls = classes[c];
+    const ClassAggregate& agg = stats.per_class[c];
+    SCOPED_TRACE(cls);
+    uint64_t queries = 0;
+    for (const char* status : {"ok", "cancelled", "deadline", "error"}) {
+      queries += delta("completed " + cls + status);
+    }
+    ok += delta("completed " + cls + "ok");
+    error += delta("completed " + cls + "error");
+    EXPECT_EQ(agg.queries, queries);
+    EXPECT_EQ(agg.failures, queries - delta("completed " + cls + "ok"));
+    EXPECT_EQ(agg.cache_lookups,
+              delta("omega_service_cache_lookups_total" + cls));
+    EXPECT_EQ(agg.cache_hits, delta("omega_service_cache_hits_total" + cls));
+    EXPECT_EQ(agg.join_rows, delta("omega_service_join_rows_total" + cls));
+    EXPECT_EQ(agg.executed, delta("exec count " + cls));
+    EXPECT_NEAR(agg.exec_ms, delta("exec sum " + cls) / 1000.0, 1e-6);
+    EXPECT_NEAR(agg.queue_ms, delta("queue sum " + cls) / 1000.0, 1e-6);
+    EXPECT_EQ(agg.eval.tuples_popped,
+              delta("omega_eval_tuples_popped_total" + cls));
+    EXPECT_EQ(agg.eval.tuples_pushed,
+              delta("omega_eval_tuples_pushed_total" + cls));
+    EXPECT_EQ(agg.eval.succ_expansions,
+              delta("omega_eval_succ_expansions_total" + cls));
+    EXPECT_EQ(agg.eval.neighbor_group_fetches,
+              delta("omega_eval_neighbor_fetches_total" + cls));
+    EXPECT_EQ(agg.eval.answers_emitted,
+              delta("omega_eval_answers_emitted_total" + cls));
+    EXPECT_EQ(agg.eval.seeds_added, delta("omega_eval_seeds_total" + cls));
+    EXPECT_EQ(agg.eval.rounds, delta("omega_eval_rounds_total" + cls));
+    // High-waters are the gauges themselves (a maximum has no delta).
+    EXPECT_EQ(agg.eval.max_dictionary_size,
+              static_cast<uint64_t>(
+                  registry.GetGauge("omega_eval_dict_peak", "", label(cls))
+                      ->Value()));
+    EXPECT_EQ(agg.eval.max_join_live,
+              static_cast<uint64_t>(
+                  registry.GetGauge("omega_eval_join_live_peak", "", label(cls))
+                      ->Value()));
+  }
+  EXPECT_EQ(stats.completed, ok);
+  EXPECT_EQ(stats.failed, error);
+  // The mix did what it claims: hits, an executed APPROX query, a join and
+  // a failure all landed in the view.
+  const ClassAggregate& exact = stats.per_class[0];
+  const ClassAggregate& approx = stats.per_class[1];
+  EXPECT_EQ(exact.cache_hits, 2u);
+  EXPECT_GT(exact.join_rows, 0u);
+  EXPECT_GT(exact.eval.tuples_popped, 0u);
+  EXPECT_GT(exact.eval.max_join_live, 0u);
+  EXPECT_EQ(approx.executed, 1u);
+  EXPECT_GT(approx.eval.max_dictionary_size, 0u);
+  EXPECT_EQ(stats.failed, 1u);
+}
+
+// The shell's `.admin stop` then `.admin`: a second service counting into
+// the registry the first one used reads zero everywhere, exactly like a
+// service on a fresh registry, while the registry keeps the first's counts.
+TEST(ObsServiceTest, SecondServiceOnReusedRegistryStartsAtZero) {
+  MetricsRegistry registry;
+  QueryServiceOptions options;
+  options.num_workers = 1;
+  options.metrics = &registry;
+  {
+    QueryService first(ServiceDataset(), options);
+    EXPECT_TRUE(first.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
+    EXPECT_TRUE(first.Execute(Req("(?X) <- (?X, knows, ?Y)")).cache_hit);
+    EXPECT_TRUE(first
+                    .Execute(Req("(?X) <- APPROX (?X, knows.knows, ?Y)",
+                                 /*bypass_cache=*/true))
+                    .status.ok());
+    ASSERT_TRUE(first.SwapDataset(ServiceDataset()).ok());
+    EXPECT_FALSE(
+        first.Execute(Req("(?X) <- RELAX (?X, knows, ?Y)")).status.ok());
+  }
+  QueryService second(ServiceDataset(), options);
+  QueryServiceOptions private_options = options;
+  private_options.metrics = nullptr;
+  QueryService fresh(ServiceDataset(), private_options);
+
+  const ServiceStats stats = second.stats();
+  EXPECT_EQ(stats.ToString(), fresh.stats().ToString());
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.dataset_swaps, 0u);
+  EXPECT_EQ(stats.epochs_retired, 0u);
+  EXPECT_EQ(stats.epochs_drained, 0u);
+  EXPECT_EQ(stats.swap_ms_total, 0.0);
+  EXPECT_EQ(stats.drain_ms_total, 0.0);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.misses, 0u);
+  EXPECT_EQ(stats.cache.insertions, 0u);
+  for (const ClassAggregate& agg : stats.per_class) {
+    EXPECT_EQ(agg.queries, 0u);
+    EXPECT_EQ(agg.executed, 0u);
+    EXPECT_EQ(agg.cache_lookups, 0u);
+    EXPECT_EQ(agg.queue_ms, 0.0);
+    EXPECT_EQ(agg.exec_ms, 0.0);
+    EXPECT_EQ(agg.eval.tuples_popped, 0u);
+    EXPECT_EQ(agg.eval.max_dictionary_size, 0u);
+    EXPECT_EQ(agg.join_rows, 0u);
+  }
+  EXPECT_EQ(registry.GetCounter("omega_service_submitted_total")->Value(), 4u);
+  EXPECT_EQ(registry.GetCounter("omega_service_swaps_total")->Value(), 1u);
+}
+
+// A retired epoch pinned by a ticket the client still holds outlives its
+// service; its drain is then observed into the service's private registry,
+// which the drain tracker keeps alive. Under ASan a registry freed with
+// the service fails here.
+TEST(ObsServiceTest, EpochPinnedPastItsServiceDrainsSafely) {
+  std::shared_ptr<QueryTicket> ticket;
+  {
+    QueryServiceOptions options;
+    options.num_workers = 1;
+    QueryService service(ServiceDataset(), options);
+    Result<std::shared_ptr<QueryTicket>> submitted =
+        service.Submit(Req("(?X) <- (?X, knows, ?Y)", /*bypass_cache=*/true));
+    ASSERT_TRUE(submitted.ok());
+    ticket = *submitted;
+    EXPECT_TRUE(ticket->Wait().status.ok());
+    // Epoch 0 is retired but stays pinned by `ticket`.
+    ASSERT_TRUE(service.SwapDataset(ServiceDataset()).ok());
+    EXPECT_EQ(service.stats().epochs_retired, 1u);
+    EXPECT_EQ(service.stats().epochs_drained, 0u);
+  }
+  EXPECT_EQ(ticket->Wait().epoch, 0u);
+  ticket.reset();  // the last pin: epoch 0 drains now
 }
 
 // --- Snapshot layer ----------------------------------------------------------

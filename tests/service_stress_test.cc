@@ -74,7 +74,9 @@ using omega::testing::CanonAnswers;
 using omega::testing::Qy;
 
 TEST(ServiceStressTest, ConcurrentMixedWorkloadMatchesReference) {
-  const Fixture fx = StressFixture();
+  Fixture fx = StressFixture();
+  const std::shared_ptr<const Dataset> dataset =
+      Dataset::FromParts(std::move(fx.graph), std::move(fx.ontology));
 
   // Mixed workload: single- and multi-conjunct, all three modes, a
   // constant endpoint, and a shared-variable join. top_k = 0 everywhere so
@@ -102,7 +104,7 @@ TEST(ServiceStressTest, ConcurrentMixedWorkloadMatchesReference) {
   }
 
   // Single-threaded reference, computed before any concurrency exists.
-  QueryEngine engine(&fx.graph, &fx.ontology);
+  QueryEngine engine(&dataset->graph(), dataset->ontology());
   std::vector<std::vector<std::pair<std::vector<NodeId>, Cost>>> reference;
   for (const Query& query : workload) {
     Result<std::vector<QueryAnswer>> answers = engine.ExecuteTopK(query, 0);
@@ -114,7 +116,7 @@ TEST(ServiceStressTest, ConcurrentMixedWorkloadMatchesReference) {
   QueryServiceOptions options;
   options.num_workers = 4;
   options.max_queue = 256;
-  QueryService service(&fx.graph, &fx.ontology, options);
+  QueryService service(dataset, options);
 
   constexpr size_t kClients = 8;
   constexpr size_t kRequestsPerClient = 30;
@@ -166,14 +168,16 @@ TEST(ServiceStressTest, ConcurrentRelaxSharesTheBoundOntologyReadOnly) {
   // with no ontology property (knows) — the path where BoundOntology once
   // lazily filled a mutable cache behind its const API. All workers resolve
   // it at once; under TSan a reintroduced lazy insert fails here reliably.
-  const Fixture fx = StressFixture();
+  Fixture fx = StressFixture();
+  const std::shared_ptr<const Dataset> dataset =
+      Dataset::FromParts(std::move(fx.graph), std::move(fx.ontology));
   QueryServiceOptions options;
   options.num_workers = 8;
   options.max_queue = 256;
   options.cache_entries = 0;
-  QueryService service(&fx.graph, &fx.ontology, options);
+  QueryService service(dataset, options);
 
-  QueryEngine engine(&fx.graph, &fx.ontology);
+  QueryEngine engine(&dataset->graph(), dataset->ontology());
   const Query relax = Qy("(?X) <- RELAX (?X, knows.worksAt, ?Y)");
   Result<std::vector<QueryAnswer>> expected = engine.ExecuteTopK(relax, 0);
   ASSERT_TRUE(expected.ok());
@@ -251,6 +255,12 @@ Fixture StressVariant(uint64_t seed) {
 // the new substrate), a stale post-swap cache hit, or a use-after-free of
 // a retired epoch's mapping would all fail here; under TSan this is also
 // the race gate for the epoch publication path.
+//
+// The swaps interleave with the traffic: the swapper publishes the next
+// epoch only once the current one has served a response, and keeps going
+// until the clients finish; the clients hold their second half back until
+// the first swap. So dataset A (epoch 0) and dataset B (epoch 1) both
+// serve, however the threads are scheduled.
 TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
   Fixture variant_a = StressVariant(21);
   Fixture variant_b = StressVariant(77);
@@ -298,19 +308,28 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
 
   constexpr size_t kClients = 6;
   constexpr size_t kRequestsPerClient = 25;
-  constexpr size_t kSwaps = 40;
   std::atomic<size_t> mismatches{0};
   std::atomic<size_t> failures{0};
   std::atomic<size_t> swap_failures{0};
   std::atomic<size_t> epoch_label_mismatches{0};
   std::atomic<size_t> served_a{0}, served_b{0};
+  // One past the newest epoch id any response came from (0 = none yet),
+  // and the swaps published so far (= the current epoch id).
+  std::atomic<uint64_t> served_through{0};
+  std::atomic<uint64_t> swaps{0};
+  std::atomic<bool> clients_done{false};
 
   std::thread swapper([&] {
-    for (size_t s = 0; s < kSwaps; ++s) {
-      if (!service.SwapDataset(s % 2 == 0 ? *mapped_b : dataset_a).ok()) {
+    while (!clients_done.load()) {
+      if (served_through.load() <= swaps.load()) {
+        std::this_thread::yield();  // the current epoch has not served yet
+        continue;
+      }
+      if (!service.SwapDataset(swaps.load() % 2 == 0 ? *mapped_b : dataset_a)
+               .ok()) {
         ++swap_failures;
       }
-      std::this_thread::yield();
+      ++swaps;
     }
   });
 
@@ -319,6 +338,9 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t r = 0; r < kRequestsPerClient; ++r) {
+        if (r == kRequestsPerClient / 2) {
+          while (swaps.load() == 0) std::this_thread::yield();
+        }
         const size_t qi = (c * 3 + r) % workload.size();
         QueryRequest request;
         request.query = Clone(workload[qi]);
@@ -327,6 +349,11 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
         // keep racing the swaps; the rest also exercise per-epoch caches.
         request.bypass_cache = (c + r) % 3 == 0;
         const QueryResponse response = service.Execute(std::move(request));
+        uint64_t through = served_through.load();
+        while (through < response.epoch + 1 &&
+               !served_through.compare_exchange_weak(through,
+                                                     response.epoch + 1)) {
+        }
         if (!response.status.ok()) {
           ++failures;
           continue;
@@ -349,6 +376,7 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
     });
   }
   for (std::thread& client : clients) client.join();
+  clients_done.store(true);
   swapper.join();
 
   EXPECT_EQ(swap_failures.load(), 0u);
@@ -360,16 +388,19 @@ TEST(ServiceStressTest, SwapUnderLoadServesExactlyOneEpochPerResponse) {
   EXPECT_GT(served_b.load(), 0u);
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.dataset_swaps, kSwaps);
+  EXPECT_GE(swaps.load(), 1u);
+  EXPECT_EQ(stats.dataset_swaps, swaps.load());
   EXPECT_EQ(stats.submitted, kClients * kRequestsPerClient);
 }
 
 TEST(ServiceStressTest, ConcurrentCancellationAndDeadlinesStaySane) {
-  const Fixture fx = StressFixture();
+  Fixture fx = StressFixture();
   QueryServiceOptions options;
   options.num_workers = 3;
   options.max_queue = 16;
-  QueryService service(&fx.graph, &fx.ontology, options);
+  QueryService service(
+      Dataset::FromParts(std::move(fx.graph), std::move(fx.ontology)),
+      options);
 
   const Query slow = Qy("(?X) <- APPROX (?X, knows.knows.knows, ?Y)");
   std::atomic<size_t> invalid_status{0};

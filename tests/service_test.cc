@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "plan/plan_node.h"
 #include "rpq/query_parser.h"
 #include "service/query_service.h"
 #include "snapshot/snapshot_reader.h"
@@ -35,26 +36,30 @@ QueryRequest Req(const std::string& text, size_t top_k = 10) {
 }
 
 /// Small deterministic graph for functional tests.
-const GraphStore& SmallGraph() {
-  static const GraphStore* graph = new GraphStore(omega::testing::MakeGraph({
-      {"a1", "knows", "a2"},
-      {"a2", "knows", "a3"},
-      {"a3", "knows", "a1"},
-      {"a1", "likes", "a3"},
-      {"a2", "likes", "a1"},
-      {"b1", "knows", "b2"},
-  }));
-  return *graph;
+const std::shared_ptr<const Dataset>& SmallDataset() {
+  static const auto* dataset = new std::shared_ptr<const Dataset>(
+      Dataset::FromParts(omega::testing::MakeGraph({
+                             {"a1", "knows", "a2"},
+                             {"a2", "knows", "a3"},
+                             {"a3", "knows", "a1"},
+                             {"a1", "likes", "a3"},
+                             {"a2", "likes", "a1"},
+                             {"b1", "knows", "b2"},
+                         }),
+                         std::nullopt));
+  return *dataset;
 }
 
 /// Dense random graph whose APPROX closure query runs for a long time if
 /// nobody stops it — the blocker used by the cancellation/deadline tests.
 /// Cancellation is what makes a multi-second query safe to use in a test.
-const GraphStore& SlowGraph() {
-  static const GraphStore* graph = new GraphStore(
-      omega::testing::RandomGraph(/*seed=*/7, /*num_nodes=*/500,
-                                  {"a", "b"}, /*density=*/4.0));
-  return *graph;
+const std::shared_ptr<const Dataset>& SlowDataset() {
+  static const auto* dataset = new std::shared_ptr<const Dataset>(
+      Dataset::FromParts(
+          omega::testing::RandomGraph(/*seed=*/7, /*num_nodes=*/500,
+                                      {"a", "b"}, /*density=*/4.0),
+          std::nullopt));
+  return *dataset;
 }
 
 QueryRequest SlowRequest() {
@@ -65,6 +70,14 @@ QueryRequest SlowRequest() {
 
 // --- ResultCache -------------------------------------------------------------
 
+/// The registry counters a standalone ResultCache counts into.
+struct CacheCounters {
+  Counter hits, misses, insertions, evictions;
+  ResultCacheCounters ptrs() {
+    return {&hits, &misses, &insertions, &evictions};
+  }
+};
+
 std::shared_ptr<const CachedResult> Entry(int tag) {
   auto entry = std::make_shared<CachedResult>();
   entry->answers.push_back(QueryAnswer{{static_cast<NodeId>(tag)}, 0});
@@ -72,7 +85,8 @@ std::shared_ptr<const CachedResult> Entry(int tag) {
 }
 
 TEST(ResultCacheTest, HitMissAndLruEviction) {
-  ResultCache cache(/*capacity=*/2, /*num_shards=*/1);
+  CacheCounters counters;
+  ResultCache cache(/*capacity=*/2, /*num_shards=*/1, counters.ptrs());
   EXPECT_EQ(cache.Lookup("k1"), nullptr);
   cache.Insert("k1", Entry(1));
   cache.Insert("k2", Entry(2));
@@ -82,36 +96,38 @@ TEST(ResultCacheTest, HitMissAndLruEviction) {
   EXPECT_EQ(cache.Lookup("k2"), nullptr);
   EXPECT_NE(cache.Lookup("k3"), nullptr);
 
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.insertions, 3u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(counters.insertions.Value(), 3u);
+  EXPECT_EQ(counters.evictions.Value(), 1u);
+  EXPECT_EQ(counters.hits.Value(), 3u);
+  EXPECT_EQ(counters.misses.Value(), 2u);
 }
 
 TEST(ResultCacheTest, InsertReplacesExistingKey) {
-  ResultCache cache(4, 2);
+  CacheCounters counters;
+  ResultCache cache(4, 2, counters.ptrs());
   cache.Insert("k", Entry(1));
   cache.Insert("k", Entry(9));
   std::shared_ptr<const CachedResult> got = cache.Lookup("k");
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->answers[0].bindings[0], 9u);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.entries(), 1u);
 }
 
 TEST(ResultCacheTest, ClearDropsEverythingAndCountsEvictions) {
-  ResultCache cache(8, 4);
+  CacheCounters counters;
+  ResultCache cache(8, 4, counters.ptrs());
   cache.Insert("k1", Entry(1));
   cache.Insert("k2", Entry(2));
   cache.Clear();
   EXPECT_EQ(cache.Lookup("k1"), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(counters.evictions.Value(), 2u);
 }
 
 TEST(ResultCacheTest, EvictedEntryStaysValidForHolders) {
-  ResultCache cache(1, 1);
+  CacheCounters counters;
+  ResultCache cache(1, 1, counters.ptrs());
   cache.Insert("k1", Entry(1));
   std::shared_ptr<const CachedResult> held = cache.Lookup("k1");
   cache.Insert("k2", Entry(2));  // evicts k1
@@ -124,7 +140,7 @@ TEST(ResultCacheTest, EvictedEntryStaysValidForHolders) {
 TEST(QueryServiceTest, ExecuteMatchesEngineReference) {
   QueryServiceOptions options;
   options.num_workers = 2;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
 
   const Query query = Qy("(?X, ?Z) <- (?X, knows, ?Y), (?Y, likes, ?Z)");
   QueryRequest request;
@@ -135,7 +151,7 @@ TEST(QueryServiceTest, ExecuteMatchesEngineReference) {
   EXPECT_TRUE(response.exhausted);
   ASSERT_EQ(response.head, (std::vector<std::string>{"X", "Z"}));
 
-  QueryEngine engine(&SmallGraph(), nullptr);
+  QueryEngine engine(&SmallDataset()->graph(), nullptr);
   Result<std::vector<QueryAnswer>> reference = engine.ExecuteTopK(query, 0);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(CanonAnswers(response.answers), CanonAnswers(*reference));
@@ -145,7 +161,7 @@ TEST(QueryServiceTest, ExecuteMatchesEngineReference) {
 TEST(QueryServiceTest, RepeatedQueryHitsCache) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
 
   QueryResponse miss = service.Execute(Req("(?X) <- (?X, knows, ?Y)"));
   ASSERT_TRUE(miss.status.ok());
@@ -165,7 +181,7 @@ TEST(QueryServiceTest, RepeatedQueryHitsCache) {
 }
 
 TEST(QueryServiceTest, CacheKeysOnCanonicalizedVariableNames) {
-  QueryService service(&SmallGraph(), nullptr, {});
+  QueryService service(SmallDataset(), {});
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
 
   // Same query with renamed variables must hit the same entry — but the
@@ -183,7 +199,7 @@ TEST(QueryServiceTest, CacheKeysOnCanonicalizedVariableNames) {
 }
 
 TEST(QueryServiceTest, BypassCacheSkipsLookupAndFill) {
-  QueryService service(&SmallGraph(), nullptr, {});
+  QueryService service(SmallDataset(), {});
   for (int i = 0; i < 2; ++i) {
     QueryRequest request = Req("(?X) <- (?X, likes, ?Y)");
     request.bypass_cache = true;
@@ -194,7 +210,7 @@ TEST(QueryServiceTest, BypassCacheSkipsLookupAndFill) {
 }
 
 TEST(QueryServiceTest, InvalidateCacheForcesReexecution) {
-  QueryService service(&SmallGraph(), nullptr, {});
+  QueryService service(SmallDataset(), {});
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).cache_hit);
   service.InvalidateCache();
@@ -204,13 +220,13 @@ TEST(QueryServiceTest, InvalidateCacheForcesReexecution) {
 TEST(QueryServiceTest, CacheDisabledWhenZeroEntries) {
   QueryServiceOptions options;
   options.cache_entries = 0;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
   EXPECT_FALSE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).cache_hit);
   EXPECT_FALSE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).cache_hit);
 }
 
 TEST(QueryServiceTest, InvalidQueryRejectedAtSubmit) {
-  QueryService service(&SmallGraph(), nullptr, {});
+  QueryService service(SmallDataset(), {});
   QueryRequest request;
   request.query.head = {"X"};  // no conjuncts
   Result<std::shared_ptr<QueryTicket>> ticket =
@@ -222,7 +238,7 @@ TEST(QueryServiceTest, InvalidQueryRejectedAtSubmit) {
 // --- QueryService: dataset hot-swap ------------------------------------------
 
 /// A second universe over the same vocabulary but different shape: the same
-/// query text yields a different answer multiset than on SmallGraph().
+/// query text yields a different answer multiset than on SmallDataset().
 GraphStore OtherGraph() {
   return omega::testing::MakeGraph({
       {"c1", "knows", "c2"},
@@ -234,7 +250,7 @@ GraphStore OtherGraph() {
 TEST(QueryServiceTest, SwapDatasetServesTheNewDataset) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
   EXPECT_EQ(service.dataset_epoch(), 0u);
 
   QueryResponse before = service.Execute(Req("(?X) <- (?X, knows, ?Y)", 0));
@@ -267,7 +283,7 @@ TEST(QueryServiceTest, SwapDatasetServesTheNewDataset) {
 TEST(QueryServiceTest, SwapInvalidatesCachedResultsAtomically) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)", 0)).status.ok());
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)", 0)).cache_hit);
 
@@ -294,7 +310,7 @@ TEST(QueryServiceTest, SwapToSnapshotBackedDataset) {
 
   QueryServiceOptions options;
   options.num_workers = 2;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
   ASSERT_TRUE(service.SwapDataset(*mapped).ok());
 
   QueryResponse response = service.Execute(Req("(?X) <- (?X, knows, ?Y)", 0));
@@ -323,7 +339,7 @@ TEST(QueryServiceTest, ServiceOwnsDatasetPassedAtConstruction) {
 TEST(QueryServiceTest, InFlightQueryDrainsOnItsAdmissionEpoch) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
 
   Result<std::shared_ptr<QueryTicket>> slow = service.Submit(SlowRequest());
   ASSERT_TRUE(slow.ok());
@@ -346,7 +362,7 @@ TEST(QueryServiceTest, InFlightQueryDrainsOnItsAdmissionEpoch) {
 TEST(QueryServiceTest, InvalidateCacheResetsCacheGenerationCounters) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
 
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).status.ok());
   ASSERT_TRUE(service.Execute(Req("(?X) <- (?X, knows, ?Y)")).cache_hit);
@@ -389,7 +405,7 @@ TEST(QueryServiceTest, InvalidateCacheResetsCacheGenerationCounters) {
 TEST(QueryServiceTest, BypassedRequestsDoNotCountAsCacheLookups) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SmallGraph(), nullptr, options);
+  QueryService service(SmallDataset(), options);
   QueryRequest request = Req("(?X) <- (?X, likes, ?Y)");
   request.bypass_cache = true;
   ASSERT_TRUE(service.Execute(std::move(request)).status.ok());
@@ -405,7 +421,7 @@ TEST(QueryServiceTest, BypassedRequestsDoNotCountAsCacheLookups) {
 TEST(QueryServiceTest, DeadlineExpiresMidStream) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
 
   QueryRequest request = SlowRequest();
   request.deadline = milliseconds(5);
@@ -419,7 +435,7 @@ TEST(QueryServiceTest, DefaultDeadlineApplies) {
   QueryServiceOptions options;
   options.num_workers = 1;
   options.default_deadline = milliseconds(5);
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
   QueryResponse response = service.Execute(SlowRequest());
   EXPECT_TRUE(response.status.IsDeadlineExceeded())
       << response.status.ToString();
@@ -428,7 +444,7 @@ TEST(QueryServiceTest, DefaultDeadlineApplies) {
 TEST(QueryServiceTest, DeadlineCountsQueueWait) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
 
   // Occupy the only worker, then queue a request whose deadline expires
   // while it waits: it must fail without ever executing.
@@ -456,7 +472,7 @@ TEST(QueryServiceTest, DeadlineCountsQueueWait) {
 TEST(QueryServiceTest, CancelMidExecution) {
   QueryServiceOptions options;
   options.num_workers = 1;
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
   Result<std::shared_ptr<QueryTicket>> ticket = service.Submit(SlowRequest());
   ASSERT_TRUE(ticket.ok());
   (*ticket)->Cancel();
@@ -470,7 +486,7 @@ TEST(QueryServiceTest, CancelReleasesAdmissionSlot) {
   options.num_workers = 1;
   options.max_queue = 1;
   options.cache_entries = 0;
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
 
   // Occupy the worker and wait until the queue has drained into it.
   Result<std::shared_ptr<QueryTicket>> blocker = service.Submit(SlowRequest());
@@ -509,7 +525,7 @@ TEST(QueryServiceTest, ExpiredQueuedDeadlineReleasesAdmissionSlot) {
   options.num_workers = 1;
   options.max_queue = 1;
   options.cache_entries = 0;
-  QueryService service(&SlowGraph(), nullptr, options);
+  QueryService service(SlowDataset(), options);
 
   Result<std::shared_ptr<QueryTicket>> blocker = service.Submit(SlowRequest());
   ASSERT_TRUE(blocker.ok());
@@ -538,7 +554,7 @@ TEST(QueryServiceTest, ExpiredQueuedDeadlineReleasesAdmissionSlot) {
 }
 
 TEST(QueryServiceTest, DestructorCancelsInFlightAndQueued) {
-  auto service = std::make_unique<QueryService>(&SlowGraph(), nullptr, [] {
+  auto service = std::make_unique<QueryService>(SlowDataset(), [] {
     QueryServiceOptions options;
     options.num_workers = 1;
     return options;
@@ -556,7 +572,7 @@ TEST(QueryServiceTest, DestructorCancelsInFlightAndQueued) {
 // --- QueryService: statistics ------------------------------------------------
 
 TEST(QueryServiceTest, PerClassAggregatesReportServingMetrics) {
-  QueryService service(&SmallGraph(), nullptr, {});
+  QueryService service(SmallDataset(), {});
 
   const std::string exact = "(?X, ?Z) <- (?X, knows, ?Y), (?Y, likes, ?Z)";
   ASSERT_TRUE(service.Execute(Req(exact, 0)).status.ok());
@@ -588,6 +604,50 @@ TEST(QueryServiceTest, PerClassAggregatesReportServingMetrics) {
   EXPECT_EQ(
       stats.per_class[static_cast<size_t>(QueryClass::kRelax)].queries, 0u);
   EXPECT_FALSE(stats.ToString().empty());
+}
+
+/// Join operators in `node`'s subtree and the largest live-peak among them.
+void JoinPeaks(const PlanNode* node, size_t* joins, uint64_t* peak) {
+  if (node == nullptr || node->is_leaf()) return;
+  ++*joins;
+  *peak = std::max(*peak, node->stream->OperatorStats().max_join_live);
+  JoinPeaks(node->left.get(), joins, peak);
+  JoinPeaks(node->right.get(), joins, peak);
+}
+
+// Each rank join's live-peak reaches the service once: RankJoinStream
+// folds it into the merged stream stats, whose max_join_live the per-class
+// aggregate reports — the largest peak anywhere in the plan tree.
+TEST(QueryServiceTest, MaxJoinLiveIsTheLargestJoinPeakInThePlan) {
+  const std::string text =
+      "(?X, ?W) <- (?X, knows, ?Y), (?Y, knows, ?Z), (?Z, likes, ?W)";
+  QueryEngineOptions engine_options;
+  engine_options.use_reachability_index = false;
+  QueryEngine engine(&SmallDataset()->graph(), nullptr,
+                     SmallDataset()->indexes());
+  Result<std::unique_ptr<QueryResultStream>> stream =
+      engine.Execute(Qy(text), engine_options);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  QueryAnswer answer;
+  while ((*stream)->Next(&answer)) {
+  }
+  ASSERT_TRUE((*stream)->status().ok());
+  ASSERT_NE((*stream)->plan(), nullptr);
+  size_t joins = 0;
+  uint64_t peak = 0;
+  JoinPeaks((*stream)->plan()->root.get(), &joins, &peak);
+  ASSERT_EQ(joins, 2u);
+  EXPECT_GT(peak, 0u);
+  EXPECT_EQ((*stream)->stats().max_join_live, peak);
+
+  QueryServiceOptions options;
+  options.engine = engine_options;
+  QueryService service(SmallDataset(), options);
+  ASSERT_TRUE(service.Execute(Req(text, 0)).status.ok());
+  EXPECT_EQ(service.stats()
+                .per_class[static_cast<size_t>(QueryClass::kExact)]
+                .eval.max_join_live,
+            peak);
 }
 
 TEST(QueryClassTest, ClassifiesByFlexibleModes) {

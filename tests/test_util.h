@@ -16,6 +16,7 @@
 #include "eval/conjunct_evaluator.h"
 #include "eval/query_engine.h"
 #include "eval/rank_join.h"
+#include "obs/metrics.h"
 #include "ontology/ontology.h"
 #include "rpq/query_parser.h"
 #include "rpq/regex_parser.h"
@@ -312,6 +313,21 @@ inline RegexPtr RandomRegex(Rng* rng, const std::vector<std::string>& labels,
     default:
       return MakePlus(RandomRegex(rng, labels, depth - 1));
   }
+}
+
+/// A QueryService registry's omega_service_completed_total for one status
+/// label value, summed over the query-class label.
+inline uint64_t CompletedTotal(MetricsRegistry& registry,
+                               const std::string& status) {
+  uint64_t total = 0;
+  for (const char* cls : {"EXACT", "APPROX", "RELAX", "MIXED"}) {
+    total += registry
+                 .GetCounter("omega_service_completed_total", "",
+                             std::string("class=\"") + cls +
+                                 "\",status=\"" + status + "\"")
+                 ->Value();
+  }
+  return total;
 }
 
 }  // namespace omega::testing

@@ -48,13 +48,10 @@ PAIRINGS = {
     # distance-aware rounds vs the plain psi ratchet.
     "_ReachProbe": "_ReachBfs",
     "_DistanceSketch": "_DistanceRounds",
-    # Observability layer (PR 9): the serving mix with every metric
-    # instrument live vs enable_metrics=false. No MIN_SPEEDUP — the claim is
-    # that instrumentation is near-free, i.e. within the plain tolerance.
-    "_MetricsOn": "_MetricsOff",
-    # Ops plane (PR 10): the same mix with the always-on flight recorder
+    # Ops plane (PR 10): the serving mix with the always-on flight recorder
     # appending a flat completion summary per request vs no recorder wired.
-    # Same near-free claim as _MetricsOn.
+    # No MIN_SPEEDUP — the claim is that recording is near-free, i.e.
+    # within the plain tolerance.
     "_RecorderOn": "_RecorderOff",
     # Lazy successor expansion: expansion records + row cursors vs the
     # eager Succ (reference/eager_conjunct_evaluator.h) on a top-100 APPROX
@@ -107,8 +104,7 @@ MIN_SPEEDUP = {
 # Pairs whose work accrues on service worker threads while the driving
 # thread blocks: compared on wall-clock (real_time) instead of cpu_time,
 # which would only see the driver.
-REAL_TIME_PAIRS = {"_CacheHit", "_ServiceParallel", "_MetricsOn",
-                   "_RecorderOn"}
+REAL_TIME_PAIRS = {"_CacheHit", "_ServiceParallel", "_RecorderOn"}
 
 # Generous noise floor so the gate trips on real regressions, not scheduler
 # jitter; the structures win by integer factors when healthy.
